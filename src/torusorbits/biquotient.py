@@ -32,7 +32,6 @@ from .classify import (
 from .errors import (
     DegenerateActionError,
     EpsilonClassMismatchError,
-    IllegalOrbitSpaceError,
     NotFreeError,
     NotFreeSubtorusError,
     NotRealizableError,
@@ -58,8 +57,8 @@ from .orbit_space import (
     WeightedOrbitSpace,
     are_equivalent,
     canonicalize,
-    is_legal,
     normalize_weight,
+    require_legal,
 )
 
 # Coordinate indices into (alpha1, beta1, alpha2, beta2).
@@ -570,9 +569,7 @@ def realize_dim5(target: WeightedOrbitSpace) -> Dim5Params:
     """
     if target.rank != 3:
         raise UnsupportedRankError(f"rank {target.rank} target in the dimension-5 realizer")
-    report = is_legal(target)
-    if not report.legal:
-        raise IllegalOrbitSpaceError(f"failing adjacent pairs: {report.failing_pairs}")
+    require_legal(target)
     if target.n_weights != 4:
         raise UnsupportedWeightCountError(f"{target.n_weights} weights, expected 4")
     positioned = target if in_canonical_position(target) else canonicalize(target)[0]

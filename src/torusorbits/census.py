@@ -193,7 +193,8 @@ def _frames(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     The cross product c = x ^ y is primitive exactly when the pair is legal;
     a Bezout vector z with c . z == 1 completes (x, y) to a basis, and is
     first moved by the nearest lattice point of span(x, y) so that F stays
-    small.  The rows of the inverse of [x y z] are y ^ z, z ^ x and c.
+    small.  The rows of the inverse of [x y z] are y ^ z, z ^ x and c.  The
+    vectorized twin of orbit_space._frame, which canonicalize searches with.
     """
     c = np.cross(x, y)
     g01, s01, t01 = _ext_gcd(c[:, 0], c[:, 1])
@@ -300,14 +301,17 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
         return []
     w = np.array(weights, dtype=np.int64)
     cross = np.cross(w[:, None, :], w[None, :, :])
+    # The third based coordinates are the triple determinants, so they bound
+    # the packed digits from below; the rest is checked where it is packed.
+    # One n x n slab at a time, so an out-of-domain box fails before the
+    # n^3 table is allocated.
+    for slab in cross:
+        if np.abs(slab @ w.T).max() >= _ENTRY_LIMIT:
+            raise PackedKeyLimitError(
+                f"entry bound {bound} gives determinants beyond the packed-key limit"
+            )
     legal = np.gcd.reduce(np.abs(cross), axis=2) == 1
     dets = np.einsum("ijc,kc->ijk", cross, w)
-    # The third based coordinates are these determinants, so they bound the
-    # packed digits from below; the rest is checked where it is packed.
-    if max(dets.max(), -dets.min()) >= _ENTRY_LIMIT:
-        raise PackedKeyLimitError(
-            f"entry bound {bound} gives determinants beyond the packed-key limit"
-        )
     chunks: list[np.ndarray] = []
     pending = 0
     for i in _signed_permutation_representatives(weights):

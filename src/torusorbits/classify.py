@@ -27,6 +27,7 @@ from .orbit_space import (
     canonicalize,
     is_legal,
     pi1_bound,
+    require_legal,
     reversed_space,
 )
 
@@ -162,9 +163,7 @@ def pi1_dim5_exact(s: WeightedOrbitSpace) -> AbelianGroup:
     gcd(r, z).  Unlike pi1_bound this is exact, and the two must agree here.
     """
     _require_canonical_position(s)
-    report = is_legal(s)
-    if not report.legal:
-        raise IllegalOrbitSpaceError(f"failing adjacent pairs: {report.failing_pairs}")
+    require_legal(s)
     (_, _, r), (_, _, z) = s.weights[2], s.weights[3]
     return cyclic_group(gcd(r, z))
 
@@ -235,9 +234,7 @@ def extract_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
             weights (cannot happen; guards the implementation).
     """
     _require_canonical_position(s)
-    report = is_legal(s)
-    if not report.legal:
-        raise IllegalOrbitSpaceError(f"failing adjacent pairs: {report.failing_pairs}")
+    require_legal(s)
     (p, q, r), (x, y, z) = s.weights[2], s.weights[3]
     conditions = (
         ("gcd(r,z)", gcd(r, z)),
@@ -282,9 +279,7 @@ def classify_dim5(s: WeightedOrbitSpace) -> ManifoldType:
     """
     if s.rank != 3:
         raise UnsupportedRankError(f"rank {s.rank} orbit space in the 5-manifold classifier")
-    report = is_legal(s)
-    if not report.legal:
-        raise IllegalOrbitSpaceError(f"failing adjacent pairs: {report.failing_pairs}")
+    require_legal(s)
     if s.n_weights == 3:
         bound = pi1_bound(s)
         # The bound is only proved exact for four weights; with three it is

@@ -120,9 +120,9 @@ class SlopesNotCoprimeError(TorusOrbitsError):
 
 
 class VerificationError(TorusOrbitsError):
-    """A certificate the library computes before returning did not hold: the
-    realized action does not induce the requested orbit space.  Indicates an
-    implementation fault, never bad user input."""
+    """A certificate the library computes before returning did not hold, for
+    example the realized action does not induce the requested orbit space.
+    Indicates an implementation fault, never bad user input."""
 
 
 class PackedKeyLimitError(TorusOrbitsError):

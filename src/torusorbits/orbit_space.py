@@ -24,11 +24,13 @@ from .errors import (
     RankMismatchError,
     RankTooSmallError,
     UnsupportedRankError,
+    VerificationError,
 )
 from .lattice import (
     AbelianGroup,
     IntMatrix,
     determinant,
+    gcd_ext,
     invert_unimodular,
     quotient_group,
     unimodular_complete,
@@ -138,13 +140,31 @@ def _adjacent_pairs(n_weights: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n_weights) for i in range(n_weights)]
 
 
-def is_legal(s: WeightedOrbitSpace) -> LegalityReport:
-    """Check every cyclically adjacent weight pair and fill the certificates."""
-    failing = tuple(
+def _failing_pairs(s: WeightedOrbitSpace) -> tuple[tuple[int, int], ...]:
+    return tuple(
         (i, j)
         for i, j in _adjacent_pairs(s.n_weights)
         if not pair_is_legal(s.weights[i], s.weights[j])
     )
+
+
+def require_legal(s: WeightedOrbitSpace) -> None:
+    """Raise unless every cyclically adjacent weight pair is legal.
+
+    The adjacency half of is_legal, without the determinants behind its
+    certificates, for callers that read nothing else.
+
+    Raises:
+        IllegalOrbitSpaceError: naming the failing adjacent pairs.
+    """
+    failing = _failing_pairs(s)
+    if failing:
+        raise IllegalOrbitSpaceError(f"failing adjacent pairs: {failing}")
+
+
+def is_legal(s: WeightedOrbitSpace) -> LegalityReport:
+    """Check every cyclically adjacent weight pair and fill the certificates."""
+    failing = _failing_pairs(s)
     spans = False
     certificate = None
     for idx in combinations(range(s.n_weights), s.rank):
@@ -214,46 +234,97 @@ def _nearest_shears(lead: int, third: int) -> tuple[int, ...]:
     return (base, base + 1)
 
 
-def _residual_candidates(
-    based: Sequence[Weight], rank: int
-) -> Iterator[tuple[tuple[Weight, ...], tuple[Weight, ...]]]:
-    """All residual moves fixing the based pair e1, e2 up to sign.
+def _residual_moves(
+    based: Sequence[Weight], rank: int, first_signs: tuple[int, ...] = (1, -1)
+) -> Iterator[tuple[list[Weight], tuple[Weight, ...]]]:
+    """Residual moves fixing e1, e2 up to sign, each with the images of based.
 
-    For rank 2 these are the diagonal sign matrices.  For rank 3 they are
-    upper-triangular with signs on the diagonal and shears u, v feeding the
-    third coordinate into the first two.  Only the shears nearest to zeroing
-    the first affected entry can yield the minimum, so the search is finite
-    and exact.  Each candidate comes with the rows of its move.
+    The images are not sign-normalized.  For rank 2 the moves are the
+    diagonal sign matrices.  For rank 3 they are upper-triangular with signs
+    on the diagonal and shears u, v feeding the third coordinate into the
+    first two.  Only the shears nearest to zeroing the first affected entry
+    can yield the minimum, so the search is finite and exact.  The order,
+    signs before shears and + before -, decides which of several minimal
+    moves canonicalize returns.
     """
     if rank == 2:
-        for s1, s2 in product((1, -1), repeat=2):
-            images = tuple((s1 * w[0], s2 * w[1]) for w in based)
-            yield (
-                tuple(normalize_weight(im) for im in images),
-                ((s1, 0), (0, s2)),
-            )
+        for s1, s2 in product(first_signs, (1, -1)):
+            yield [(s1 * a, s2 * b) for a, b in based], ((s1, 0), (0, s2))
         return
-    assert rank == 3
+    # The first weight with nonzero third coordinate is the earliest sequence
+    # position the shears touch; minimize it first.
     pivot = next((w for w in based if w[2] != 0), None)
-    for s1, s2, s3 in product((1, -1), repeat=3):
+    for s1, s2, s3 in product(first_signs, (1, -1), (1, -1)):
         if pivot is None:
-            u_candidates: tuple[int, ...] = (0,)
-            v_candidates: tuple[int, ...] = (0,)
+            us: tuple[int, ...] = (0,)
+            vs: tuple[int, ...] = (0,)
         else:
-            # The first weight with nonzero third coordinate is the earliest
-            # sequence position the shears touch; minimize it first.
-            u_candidates = _nearest_shears(s1 * pivot[0], pivot[2])
-            v_candidates = _nearest_shears(s2 * pivot[1], pivot[2])
-        for u in u_candidates:
-            for v in v_candidates:
-                images = tuple(
-                    (s1 * w[0] + u * w[2], s2 * w[1] + v * w[2], s3 * w[2])
-                    for w in based
-                )
+            us = _nearest_shears(s1 * pivot[0], pivot[2])
+            vs = _nearest_shears(s2 * pivot[1], pivot[2])
+        for u in us:
+            for v in vs:
                 yield (
-                    tuple(normalize_weight(im) for im in images),
+                    [(s1 * a + u * c, s2 * b + v * c, s3 * c) for a, b, c in based],
                     ((s1, 0, u), (0, s2, v), (0, 0, s3)),
                 )
+
+
+def _signed(w: Weight) -> Weight:
+    # Images of primitive weights under a unimodular move stay primitive, so
+    # normalize_weight reduces to a sign flip.
+    lead = next(e for e in w if e)
+    return w if lead > 0 else tuple(-f for f in w)
+
+
+def _flat_key(images: Iterable[Weight]) -> tuple[int, ...]:
+    """sequence_key order of the normalized images, as one flat integer tuple.
+
+    Entries are zigzag-coded, 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...,
+    which is entry_key order; every weight has the same length, so flat
+    tuples compare like the nested keys.
+    """
+    return tuple(2 * e - 1 if e > 0 else -2 * e for w in images for e in _signed(w))
+
+
+def _frame(x: Sequence[int], y: Sequence[int]) -> tuple[Weight, ...]:
+    """Rows of a unimodular F with F x == e1 and F y == e2, for a legal pair.
+
+    Closed form, with no normal form: at rank 2 the signed adjugate of
+    [x y]; at rank 3 the rows y ^ z, z ^ x and c of the inverse of [x y z],
+    where c = x ^ y is primitive because the pair is legal and z is a Bezout
+    vector with c . z == 1.  The scalar twin of census._frames, without its
+    size reduction of z.  Two such frames differ by a move fixing e1 and e2,
+    which the residual shears absorb, so both give the same minimal key.
+    """
+    if len(x) == 2:
+        d = x[0] * y[1] - x[1] * y[0]
+        return ((d * y[1], -d * y[0]), (-d * x[1], d * x[0]))
+    c = (
+        x[1] * y[2] - x[2] * y[1],
+        x[2] * y[0] - x[0] * y[2],
+        x[0] * y[1] - x[1] * y[0],
+    )
+    g01, s01, t01 = gcd_ext(c[0], c[1])
+    _, s2, t2 = gcd_ext(g01, c[2])
+    z = (s2 * s01, s2 * t01, t2)
+    return (
+        (y[1] * z[2] - y[2] * z[1], y[2] * z[0] - y[0] * z[2], y[0] * z[1] - y[1] * z[0]),
+        (z[1] * x[2] - z[2] * x[1], z[2] * x[0] - z[0] * x[2], z[0] * x[1] - z[1] * x[0]),
+        c,
+    )
+
+
+def _start_key(seq: tuple[Weight, ...], rank: int) -> tuple[int, ...]:
+    """Minimal _flat_key of one start (seq[0], seq[1] sent to e1, e2).
+
+    The based e1 and e2 normalize to themselves under every residual move,
+    so only weights 3..n enter the key.  -I is a residual move and weights
+    are sign-normalized, so the first sign is fixed to +1: 2 moves at rank 2
+    and 16 at rank 3.
+    """
+    frame = _frame(seq[0], seq[1])
+    based = [tuple(sum(f * e for f, e in zip(row, w)) for row in frame) for w in seq[2:]]
+    return min(_flat_key(images) for images, _ in _residual_moves(based, rank, (1,)))
 
 
 def canonicalize(
@@ -267,6 +338,11 @@ def canonicalize(
     reversal of the input weights followed by sign normalization, yields the
     canonical weights.
 
+    The search compares flat integer keys on closed-form frames.  Only the
+    first start that reaches the minimum is then based by
+    base_change_for_pair, and its first minimal move in _residual_moves
+    order gives the transform.
+
     Args:
         s: a legal orbit space of rank 2 or 3.
         oriented: when True, skip the reversal move, refining classes to
@@ -275,34 +351,29 @@ def canonicalize(
     Raises:
         IllegalOrbitSpaceError: some adjacent pair is not legal.
         UnsupportedRankError: rank is not 2 or 3.
+        VerificationError: the search and the transform disagree (an
+            implementation fault).
     """
-    report = is_legal(s)
-    if not report.legal:
-        raise IllegalOrbitSpaceError(f"failing adjacent pairs: {report.failing_pairs}")
+    require_legal(s)
     if s.rank not in (2, 3):
         raise UnsupportedRankError(f"canonical forms implemented for ranks 2 and 3, not {s.rank}")
-    e1 = tuple(int(i == 0) for i in range(s.rank))
-    e2 = tuple(int(i == 1) for i in range(s.rank))
     best_key = None
-    best_weights: tuple[Weight, ...] | None = None
-    best_move: tuple[tuple[Weight, ...], IntMatrix] | None = None
     orientations = (False,) if oriented else (False, True)
     for flip in orientations:
         ordered = tuple(reversed(s.weights)) if flip else s.weights
         for r in range(s.n_weights):
             seq = ordered[r:] + ordered[:r]
-            a0 = base_change_for_pair(seq[0], seq[1])
-            based = tuple(a0.apply(w) for w in seq)
-            assert based[0] == e1 and based[1] == e2
-            for weights, b in _residual_candidates(based, s.rank):
-                key = sequence_key(weights)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_weights = weights
-                    best_move = (b, a0)
-    assert best_weights is not None and best_move is not None
-    b, a0 = best_move
-    return WeightedOrbitSpace(s.rank, best_weights), IntMatrix(b) @ a0
+            key = _start_key(seq, s.rank)
+            if best_key is None or key < best_key:
+                best_key, best_seq = key, seq
+    a0 = base_change_for_pair(best_seq[0], best_seq[1])
+    based = [a0.apply(w) for w in best_seq[2:]]
+    e1, e2 = (tuple(int(i == j) for i in range(s.rank)) for j in (0, 1))
+    for images, b in _residual_moves(based, s.rank):
+        if _flat_key(images) == best_key:
+            # The constructor sign-normalizes the images.
+            return WeightedOrbitSpace(s.rank, (e1, e2, *images)), IntMatrix(b) @ a0
+    raise VerificationError(f"no residual move of {based} reaches the searched key {best_key}")
 
 
 def are_equivalent(

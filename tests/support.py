@@ -1,7 +1,19 @@
-"""Shared helpers for the test suite: random symmetry moves and seed spaces."""
+"""Shared helpers for the test suite: random symmetry moves, seed spaces and
+the reference canonicalization."""
 
+from itertools import product
+from math import gcd
+
+from torusorbits.errors import IllegalOrbitSpaceError, UnsupportedRankError
 from torusorbits.lattice import IntMatrix
-from torusorbits.orbit_space import WeightedOrbitSpace, is_legal
+from torusorbits.orbit_space import (
+    WeightedOrbitSpace,
+    base_change_for_pair,
+    is_legal,
+    normalize_weight,
+    pair_is_legal,
+    sequence_key,
+)
 
 
 def space(rank, *weights):
@@ -50,3 +62,94 @@ def random_legal_space(rng, rank, n_weights=4):
     for _ in range(3):
         s = random_symmetry_move(rng, s)
     return s
+
+
+def random_legal_cycle(rng, rank, n_weights, box):
+    """Random legal cycle of box weights, walked through legal neighbours."""
+    pool = [w for w in product(range(-box, box + 1), repeat=rank) if gcd(*w) == 1]
+    while True:
+        cycle = [rng.choice(pool)]
+        while len(cycle) < n_weights:
+            closing = len(cycle) == n_weights - 1
+            options = [
+                w
+                for w in pool
+                if pair_is_legal(cycle[-1], w) and (not closing or pair_is_legal(w, cycle[0]))
+            ]
+            if not options:
+                break
+            cycle.append(rng.choice(options))
+        else:
+            return WeightedOrbitSpace(rank, tuple(cycle))
+
+
+# --- reference canonicalization
+#
+# The direct search that canonicalize replaced: every start is based by
+# base_change_for_pair and every residual candidate is normalized and keyed
+# with sequence_key.  Slow, and kept only to check canonicalize against it.
+
+
+def _nearest_shears(lead, third):
+    base = (-lead) // third
+    return (base, base + 1)
+
+
+def _residual_candidates(based, rank):
+    if rank == 2:
+        for s1, s2 in product((1, -1), repeat=2):
+            images = tuple((s1 * w[0], s2 * w[1]) for w in based)
+            yield (
+                tuple(normalize_weight(im) for im in images),
+                ((s1, 0), (0, s2)),
+            )
+        return
+    assert rank == 3
+    pivot = next((w for w in based if w[2] != 0), None)
+    for s1, s2, s3 in product((1, -1), repeat=3):
+        if pivot is None:
+            u_candidates = (0,)
+            v_candidates = (0,)
+        else:
+            u_candidates = _nearest_shears(s1 * pivot[0], pivot[2])
+            v_candidates = _nearest_shears(s2 * pivot[1], pivot[2])
+        for u in u_candidates:
+            for v in v_candidates:
+                images = tuple(
+                    (s1 * w[0] + u * w[2], s2 * w[1] + v * w[2], s3 * w[2])
+                    for w in based
+                )
+                yield (
+                    tuple(normalize_weight(im) for im in images),
+                    ((s1, 0, u), (0, s2, v), (0, 0, s3)),
+                )
+
+
+def reference_canonicalize(s, oriented=False):
+    report = is_legal(s)
+    if not report.legal:
+        raise IllegalOrbitSpaceError(f"failing adjacent pairs: {report.failing_pairs}")
+    if s.rank not in (2, 3):
+        raise UnsupportedRankError(f"canonical forms implemented for ranks 2 and 3, not {s.rank}")
+    e1 = tuple(int(i == 0) for i in range(s.rank))
+    e2 = tuple(int(i == 1) for i in range(s.rank))
+    best_key = None
+    best_weights = None
+    best_move = None
+    orientations = (False,) if oriented else (False, True)
+    for flip in orientations:
+        ordered = tuple(reversed(s.weights)) if flip else s.weights
+        for r in range(s.n_weights):
+            seq = ordered[r:] + ordered[:r]
+            a0 = base_change_for_pair(seq[0], seq[1])
+            based = tuple(a0.apply(w) for w in seq)
+            assert based[0] == e1 and based[1] == e2
+            for weights, b in _residual_candidates(based, s.rank):
+                key = sequence_key(weights)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_weights = weights
+                    best_move = (b, a0)
+    assert best_weights is not None and best_move is not None
+    b, a0 = best_move
+    return WeightedOrbitSpace(s.rank, best_weights), IntMatrix(b) @ a0

@@ -7,6 +7,9 @@ production pipeline.
 """
 
 import json
+import os
+import subprocess
+import sys
 from itertools import product
 from math import gcd
 
@@ -138,6 +141,31 @@ def test_packed_key_limit_is_a_domain_error(monkeypatch):
     with pytest.raises(PackedKeyLimitError):
         _rank3_classes(2)
     assert issubclass(PackedKeyLimitError, TorusOrbitsError)
+
+
+def test_out_of_domain_box_fails_before_the_determinant_table():
+    # At bound 6 the largest triple determinant is 847, past the digit
+    # limit, and the n^3 determinant table would take 4.8 GiB.  Under a
+    # 2 GiB address-space limit the census must still end with the domain
+    # error (exit 3), so the check has to run before that table exists.
+    script = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from torusorbits.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["census", "--rank", "3", "--bound", "6"]
+    # One BLAS thread, so the buffers numpy reserves at import stay small on
+    # machines with many cores.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "entry bound 6 gives determinants beyond the packed-key limit" in proc.stderr
 
 
 def test_rows_sorted_verified_simply_connected():

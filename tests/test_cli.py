@@ -1,7 +1,8 @@
 """End-to-end checks of the command line interface.
 
-These tests call main() in-process for speed; one subprocess test pins down
-byte-level determinism of the census output.
+These tests call main() in-process for speed; subprocess tests pin down
+byte-level determinism of the census output and its independence of
+python -O.
 """
 
 import csv
@@ -317,6 +318,31 @@ def test_census_byte_identity_subprocess():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].endswith(b"\n")
+
+
+def test_optimized_interpreter_gives_the_same_verified_output():
+    # python -O strips assert statements.  The round-trip certificates are
+    # explicit checks, so the output must not change and every row must
+    # still come out verified.
+    script = "from torusorbits.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
+    workloads = (
+        ["census", "--rank", "3", "--bound", "1", "--format", "json"],
+        ["realize", "--rank", "3", "--weights", "(0,1,0),(1,1,1),(1,0,0),(1,2,3)",
+         "--format", "json"],
+    )
+    for argv in workloads:
+        outputs = [
+            subprocess.run(
+                [sys.executable, *flags, "-c", script, *argv], capture_output=True, check=True
+            ).stdout
+            for flags in ([], ["-O"])
+        ]
+        assert outputs[0] == outputs[1]
+        rows = [json.loads(line) for line in outputs[0].splitlines()]
+        if argv[0] == "census":
+            header, rows = rows[0], rows[1:]
+            assert len(rows) == header["count"] == 12
+        assert rows and all(row["verified"] is True for row in rows)
 
 
 def test_run_api():

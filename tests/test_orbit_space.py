@@ -5,6 +5,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusorbits.errors import (
     IllegalOrbitSpaceError,
@@ -27,7 +29,13 @@ from torusorbits.orbit_space import (
     simply_connected_witness,
 )
 
-from support import random_legal_space, random_symmetry_move, space
+from support import (
+    random_legal_cycle,
+    random_legal_space,
+    random_symmetry_move,
+    reference_canonicalize,
+    space,
+)
 
 
 # --- normalization and construction
@@ -214,6 +222,24 @@ def test_canonicalize_transform_achieves_form():
                     tuple(normalize_weight(a.apply(w)) for w in seq)
                 )
         assert canon.weights in candidates
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(2, 4), (3, 2)]),
+    st.integers(2, 6),
+    st.randoms(use_true_random=False),
+)
+def test_canonicalize_matches_reference(rank_box, n_weights, rng):
+    # Weights and transform agree with the direct search over every start.
+    rank, box = rank_box
+    s = random_legal_cycle(rng, rank, max(n_weights, rank), box)
+    for presentation in (s, random_symmetry_move(rng, s)):
+        for oriented in (False, True):
+            canon, transform = canonicalize(presentation, oriented=oriented)
+            ref, ref_transform = reference_canonicalize(presentation, oriented=oriented)
+            assert canon.weights == ref.weights
+            assert transform.entries == ref_transform.entries
 
 
 def test_oriented_canonicalize_refines():
