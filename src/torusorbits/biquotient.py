@@ -585,7 +585,6 @@ class ExtensionStatus(Enum):
     EXTENDED = "extended"  # witness torus found and re-verified
     NECESSARY_CONDITION_FAILS = "necessary-condition-fails"  # proved: no extension
     NO_SOLUTION = "no-solution"  # proved: sign equations have no integer solution
-    SEARCH_EXHAUSTED = "search-exhausted"  # inconclusive; unused by the exact solver
 
 
 @dataclass(frozen=True)
@@ -651,9 +650,7 @@ def _solve_extension(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int
     return None
 
 
-def extend_circle_to_t2(
-    p: CircleActionParams, bound: int | None = None
-) -> ExtensionOutcome:
+def extend_circle_to_t2(p: CircleActionParams) -> ExtensionOutcome:
     """Decide whether a free circle action extends to a free two-torus action.
 
     First the necessary condition: some sign combination of
@@ -663,14 +660,11 @@ def extend_circle_to_t2(
 
     Args:
         p: free circle exponents.
-        bound: accepted for compatibility with bounded searches; the solver
-            is exact and ignores it.
 
     Raises:
         NotFreeError: the circle does not act freely.
         DegenerateActionError: all exponents vanish.
     """
-    del bound
     if not is_free_circle(p):
         raise NotFreeError(f"circle {p} has a common exponent divisor across factors")
     a, b, c, d = p.a, p.b, p.c, p.d

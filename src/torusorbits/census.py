@@ -296,6 +296,12 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
     starts of any of its cycles, and those are computed from each distinct
     key directly, so each key is visited once.
     """
+    # The box holds (b,1,0), (0,b,1) and (1,0,b), whose determinant is
+    # b^3 + 1, so a large box is refused before anything is enumerated.
+    if bound**3 + 1 >= _ENTRY_LIMIT:
+        raise PackedKeyLimitError(
+            f"entry bound {bound} gives determinants beyond the packed-key limit"
+        )
     weights = primitive_weights(3, bound)
     if not weights:
         return []
@@ -441,19 +447,28 @@ def census_ndjson(rows: tuple[CensusRow, ...], rank: int, bound: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def census_csv(rows: tuple[CensusRow, ...], rank: int, bound: int) -> str:
-    del rank, bound  # same columns at every size; kept for signature symmetry
+def _row_cells(row: CensusRow) -> list[str]:
+    """The text cells of one row, in CENSUS_COLUMNS order."""
+    return [
+        format_weights(row.weights),
+        str(row.manifold_type),
+        row.pi1,
+        _dump(realization_payload(row.realization)),
+        "true" if row.verified else "false",
+    ]
+
+
+def census_csv(rows: tuple[CensusRow, ...]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CENSUS_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                format_weights(row.weights),
-                str(row.manifold_type),
-                row.pi1,
-                _dump(realization_payload(row.realization)),
-                "true" if row.verified else "false",
-            ]
-        )
+    writer.writerows(_row_cells(row) for row in rows)
     return buffer.getvalue()
+
+
+def census_table(rows: tuple[CensusRow, ...]) -> str:
+    """Left-aligned columns two spaces apart, without trailing blanks."""
+    cells = [list(CENSUS_COLUMNS)] + [_row_cells(row) for row in rows]
+    widths = [max(len(line[col]) for line in cells) for col in range(len(CENSUS_COLUMNS))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in cells]
+    return "\n".join(lines) + "\n"

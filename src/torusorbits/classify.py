@@ -14,7 +14,6 @@ from math import gcd
 
 from .errors import (
     GcdConditionViolatedError,
-    IllegalOrbitSpaceError,
     InconsistentShearError,
     NotCanonicalPositionError,
     OrientationMismatchError,
@@ -25,7 +24,6 @@ from .lattice import AbelianGroup, cyclic_group, gcd_ext
 from .orbit_space import (
     WeightedOrbitSpace,
     canonicalize,
-    is_legal,
     pi1_bound,
     require_legal,
     reversed_space,
@@ -56,7 +54,6 @@ CP2_MINUS_CP2 = ManifoldType("CP2#-CP2")
 S5 = ManifoldType("S5")
 S3XS2 = ManifoldType("S3xS2")
 S3TWISTS2 = ManifoldType("S3twistS2")
-PRODUCT_WITH_CIRCLE = ManifoldType("ProductWithCircle")
 
 
 def connected_sum_dim4(count: int) -> ManifoldType:
@@ -102,15 +99,9 @@ def classify_dim4(s: WeightedOrbitSpace) -> ManifoldType:
     """
     if s.rank != 2:
         raise UnsupportedRankError(f"rank {s.rank} orbit space in the 4-manifold classifier")
-    report = is_legal(s)
-    if not report.legal:
-        raise IllegalOrbitSpaceError(f"failing adjacent pairs: {report.failing_pairs}")
-    if report.simply_connected_certificate is None:
-        # Unreachable for legal rank 2 (any adjacent pair certifies), but the
-        # contract covers it: no spanning pair means a circle splits off.
-        if not report.spans:
-            return PRODUCT_WITH_CIRCLE
-        return not_simply_connected(pi1_bound(s))
+    # A legal rank-2 pair has determinant +-1, so legality alone makes the
+    # manifold simply connected.
+    require_legal(s)
     n = s.n_weights
     if n == 2:
         return S4

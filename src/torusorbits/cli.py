@@ -8,7 +8,6 @@ JSON.  Exit codes encode the epistemic status of the answer:
     2  parse or usage error
     3  illegal orbit space or out-of-domain input
     4  proved negative (inequivalent, or extension obstructed)
-    5  inconclusive (search exhausted without a proof)
 """
 
 from __future__ import annotations
@@ -29,14 +28,7 @@ from .biquotient import (
     realize_dim4,
     realize_dim5,
 )
-from .census import (
-    CENSUS_COLUMNS,
-    census_csv,
-    census_ndjson,
-    format_weights,
-    realization_payload,
-    run_census,
-)
+from .census import census_csv, census_ndjson, census_table, realization_payload, run_census
 from .classify import classify_dim4, classify_dim5
 from .errors import ParseError, TorusOrbitsError, UnsupportedRankError
 from .orbit_space import (
@@ -45,13 +37,13 @@ from .orbit_space import (
     canonicalize,
     is_legal,
     pi1_bound,
+    require_legal,
 )
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NEGATIVE = 4
-EXIT_INCONCLUSIVE = 5
 
 _GROUP_RE = re.compile(r"\(([^()]*)\)")
 
@@ -215,9 +207,7 @@ def _run_equiv(command: Command) -> RunResult:
 
 def _run_pi1(command: Command) -> RunResult:
     space = _space_from(command)
-    report = is_legal(space)
-    if not report.legal:
-        raise TorusOrbitsError(f"illegal orbit space; failing pairs {report.failing_pairs}")
+    require_legal(space)
     group = pi1_bound(space)
     payload = {
         "verb": "pi1",
@@ -262,14 +252,11 @@ _EXTEND_RESULTS = {
         EXIT_NEGATIVE,
     ),
     ExtensionStatus.NO_SOLUTION: ("NoExtension(NoSolution)", EXIT_NEGATIVE),
-    ExtensionStatus.SEARCH_EXHAUSTED: ("Inconclusive(SearchExhausted)", EXIT_INCONCLUSIVE),
 }
 
 
 def _run_extend(command: Command) -> RunResult:
-    params = _circle_from(command)
-    bound = command.flags.get("bound")
-    outcome = extend_circle_to_t2(params, bound=None if bound is None else int(bound))
+    outcome = extend_circle_to_t2(_circle_from(command))
     result, status = _EXTEND_RESULTS[outcome.status]
     payload = {
         "verb": "extend",
@@ -294,23 +281,6 @@ def _run_bundle(command: Command) -> RunResult:
     return RunResult(EXIT_OK, payload, _render(payload, command))
 
 
-def _census_table(rows) -> str:
-    cells = [list(CENSUS_COLUMNS)]
-    for row in rows:
-        cells.append(
-            [
-                format_weights(row.weights),
-                str(row.manifold_type),
-                row.pi1,
-                json.dumps(realization_payload(row.realization), sort_keys=True, separators=(",", ":")),
-                "true",
-            ]
-        )
-    widths = [max(len(line[col]) for line in cells) for col in range(len(CENSUS_COLUMNS))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in cells]
-    return "\n".join(lines) + "\n"
-
-
 def _run_census(command: Command) -> RunResult:
     rank = command.flags.get("rank")
     bound = command.flags.get("bound")
@@ -323,9 +293,9 @@ def _run_census(command: Command) -> RunResult:
     if fmt == "json":
         text = census_ndjson(rows, int(rank), int(bound))
     elif fmt == "csv":
-        text = census_csv(rows, int(rank), int(bound))
+        text = census_csv(rows)
     else:
-        text = _census_table(rows)
+        text = census_table(rows)
     return RunResult(EXIT_OK, {"verb": "census", "count": len(rows)}, text)
 
 
@@ -418,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="?", default=None, metavar="circle.json",
                    help='circle-action JSON file {"kind":"circle",...}')
     p.add_argument("--circle", help='inline parameters "(a,b,c,d)"')
-    p.add_argument("--bound", type=int, default=None,
-                   help="search bound (the exact solver decides regardless)")
     add_format(p)
 
     p = sub.add_parser("bundle", help="total space of a circle bundle over a quotient")

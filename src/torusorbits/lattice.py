@@ -97,15 +97,6 @@ class IntMatrix:
             )
         )
 
-    def minor(self, drop_row: int, drop_col: int) -> "IntMatrix":
-        return IntMatrix(
-            tuple(
-                tuple(x for j, x in enumerate(row) if j != drop_col)
-                for i, row in enumerate(self.entries)
-                if i != drop_row
-            )
-        )
-
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and determinant(self) in (1, -1)
 
@@ -450,17 +441,11 @@ def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
     return out
 
 
-def integer_kernel(m: IntMatrix) -> tuple[Vector, ...]:
-    """Hermite-canonical basis of {v in Z^cols : m @ v == 0}.
-
-    The kernel of an integer matrix is a saturated sublattice, so every basis
-    row returned is a primitive vector.
-    """
-    return kernel_basis(m.entries, m.cols)
-
-
 def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
-    """integer_kernel on plain rows; an empty row list has kernel Z^ncols.
+    """Hermite-canonical basis of {v in Z^ncols : m v == 0}, m the given rows.
+
+    An empty row list has kernel Z^ncols.  The kernel of an integer matrix is
+    a saturated sublattice, so every basis row returned is a primitive vector.
 
     The row lattice of [m^T | I] is {(v m^T, v)}.  In its Hermite form the
     rows with a vanishing left block have their pivots in the right block,

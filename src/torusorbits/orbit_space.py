@@ -191,11 +191,6 @@ def pi1_bound(s: WeightedOrbitSpace) -> AbelianGroup:
     return quotient_group(s.weight_matrix())
 
 
-def simply_connected_witness(s: WeightedOrbitSpace) -> tuple[int, ...] | None:
-    """Indices of rank-many weights with determinant +-1, if any exist."""
-    return is_legal(s).simply_connected_certificate
-
-
 # --- canonical forms
 #
 # Total order on weight sequences: compare entry by entry under

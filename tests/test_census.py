@@ -145,27 +145,30 @@ def test_packed_key_limit_is_a_domain_error(monkeypatch):
 
 def test_out_of_domain_box_fails_before_the_determinant_table():
     # At bound 6 the largest triple determinant is 847, past the digit
-    # limit, and the n^3 determinant table would take 4.8 GiB.  Under a
-    # 2 GiB address-space limit the census must still end with the domain
-    # error (exit 3), so the check has to run before that table exists.
+    # limit, and the n^3 determinant table would take 4.8 GiB.  At bound 20
+    # the n x n cross-product table alone would take 18 GiB.  Under a 2 GiB
+    # address-space limit the census must still end with the domain error
+    # (exit 3), so the check has to run before those tables exist.
     script = (
         "import resource, sys; "
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
         "from torusorbits.cli import main; sys.exit(main(sys.argv[1:]))"
     )
-    argv = ["census", "--rank", "3", "--bound", "6"]
     # One BLAS thread, so the buffers numpy reserves at import stay small on
     # machines with many cores.
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert "entry bound 6 gives determinants beyond the packed-key limit" in proc.stderr
+    for bound in (6, 20):
+        argv = ["census", "--rank", "3", "--bound", str(bound)]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 3, proc.stderr
+        message = f"entry bound {bound} gives determinants beyond the packed-key limit"
+        assert message in proc.stderr
 
 
 def test_rows_sorted_verified_simply_connected():
@@ -211,7 +214,7 @@ def test_ndjson_empty_header_frozen():
 
 def test_csv_mirror():
     rows = run_census(2, 1)
-    text = census_csv(rows, 2, 1)
+    text = census_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CENSUS_COLUMNS)
     assert len(lines) == len(rows) + 1

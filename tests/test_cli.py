@@ -6,6 +6,7 @@ python -O.
 """
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -92,6 +93,14 @@ def test_extend_success(capsys):
     witness = payload["witness"]
     assert witness["kind"] == "t2"
     assert (witness["a"], witness["b"], witness["c"], witness["d"]) == (1, 1, 1, 2)
+
+
+def test_extend_has_no_bound_flag(capsys):
+    # The solver is exact, so a search bound would change nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(["extend", "--circle", "(1,1,1,1)", "--bound", "3"])
+    assert exc.value.code == EXIT_PARSE
+    capsys.readouterr()
 
 
 def test_equiv_same_and_different(tmp_path, capsys):
@@ -275,6 +284,28 @@ def test_census_csv_parses(capsys):
     assert all(r["verified"] == "true" for r in rows)
 
 
+CENSUS_DIGESTS = (
+    (("--rank", "2", "--bound", "3"),
+     "07d029ffb4583523835d8a0190907f5c3ee3c44878fd331a42c7c2ebfaf1e98f"),
+    (("--rank", "2", "--bound", "3", "--format", "csv"),
+     "df93f272ed9af46f593685e80659e12df8ab1d522c4455dfec9bbfecce1a1043"),
+    (("--rank", "3", "--bound", "1"),
+     "c17df3880cc7c999ec0003754b1552789ce22162874e21a6a6ccdb819e2ff957"),
+    (("--rank", "3", "--bound", "1", "--format", "csv"),
+     "20cdd443145e6230e7ea18a8f0be1e51c4db3f52e39ef88465e88e22f3cbc4e6"),
+    (("--rank", "3", "--bound", "1", "--format", "json"),
+     "93940b7bdc38519e5167a81a4832ccc9993cd03d63763f3e043102babf4b6204"),
+)
+
+
+def test_census_output_bytes_are_pinned(capsys):
+    # Every census format, byte for byte, at both ranks.
+    for args, digest in CENSUS_DIGESTS:
+        code, out, _ = invoke(capsys, "census", *args)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
 def test_census_json_and_out_flag(tmp_path, capsys):
     target = tmp_path / "census.ndjson"
     code, out, err = invoke(
@@ -357,3 +388,15 @@ def test_run_api():
     assert result.text.endswith("\n")
     with pytest.raises(ParseError):
         run(Command(verb="nonsense"))
+
+
+def test_module_run_prints_no_warning():
+    # Running the CLI module must not find it already imported by the package.
+    argv = ["classify", "--rank", "2", "--weights", "(1,0),(0,1),(1,0),(2,1)"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "torusorbits.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""

@@ -15,8 +15,8 @@ from torusorbits.lattice import (
     determinant,
     gcd_ext,
     hermite_normal_form,
-    integer_kernel,
     invert_unimodular,
+    kernel_basis,
     quotient_group,
     smith_normal_form,
     unimodular_complete,
@@ -385,9 +385,9 @@ def test_complete_partial_bases():
 
 
 def test_kernel_frozen_examples():
-    assert integer_kernel(IntMatrix.from_rows([[2, 3]])) == ((3, -2),)
-    assert integer_kernel(IntMatrix.identity(3)) == ()
-    assert integer_kernel(IntMatrix.from_rows([[0, 0]])) == ((1, 0), (0, 1))
+    assert kernel_basis(((2, 3),), 2) == ((3, -2),)
+    assert kernel_basis(IntMatrix.identity(3).entries, 3) == ()
+    assert kernel_basis(((0, 0),), 2) == ((1, 0), (0, 1))
 
 
 def test_kernel_pair_rule():
@@ -399,7 +399,7 @@ def test_kernel_pair_rule():
         if gcd(a, c) != 1:
             continue
         done += 1
-        (v,) = integer_kernel(IntMatrix.from_rows([[a, c]]))
+        (v,) = kernel_basis(((a, c),), 2)
         assert v in ((c, -a), (-c, a))
 
 
@@ -409,7 +409,7 @@ def test_kernel_properties():
         nrows = rng.randint(1, 4)
         ncols = rng.randint(1, 4)
         m = random_matrix(rng, nrows, ncols, -7, 7)
-        basis = integer_kernel(m)
+        basis = kernel_basis(m.entries, m.cols)
         for v in basis:
             assert all(x == 0 for x in m.apply(v))
         assert len(basis) == ncols - smith_normal_form(m).rank
@@ -433,6 +433,5 @@ def test_matrix_shapes_and_products():
     assert m.column(1) == (2, 4, 6)
     i2 = IntMatrix.identity(2)
     assert (m @ i2).entries == m.entries
-    assert m.minor(1, 0).entries == ((2,), (6,))
     assert not m.is_unimodular()
     assert IntMatrix.from_rows([[2, 3], [1, 2]]).is_unimodular()

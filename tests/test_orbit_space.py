@@ -26,7 +26,6 @@ from torusorbits.orbit_space import (
     pi1_bound,
     reversed_space,
     sequence_key,
-    simply_connected_witness,
 )
 
 from support import (
@@ -116,7 +115,7 @@ def test_witness_and_spans_cases():
     rep = is_legal(space(2, (1, 0), (2, 0), (3, 0)))
     assert not rep.spans
     assert rep.simply_connected_certificate is None
-    assert simply_connected_witness(space(2, (1, 0), (2, 0), (3, 0))) is None
+    assert is_legal(space(2, (1, 0), (2, 0), (3, 0))).simply_connected_certificate is None
 
     # Independent pairs exist but none has determinant +-1.
     s = space(2, (1, 0), (1, 2), (1, 4))
@@ -127,7 +126,7 @@ def test_witness_and_spans_cases():
     assert rep.spans
     assert rep.simply_connected_certificate is None
 
-    assert simply_connected_witness(space(2, (1, 0), (0, 1), (1, 0), (2, 1))) == (0, 1)
+    assert is_legal(space(2, (1, 0), (0, 1), (1, 0), (2, 1))).simply_connected_certificate == (0, 1)
 
 
 def test_witness_not_necessary_at_rank3():
