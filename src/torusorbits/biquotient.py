@@ -50,7 +50,6 @@ from .lattice import (
     invariant_factors,
     invert_unimodular,
     kernel_basis,
-    quotient_group,
     unimodular_complete,
 )
 from .orbit_space import (
@@ -218,14 +217,18 @@ def subtorus_acts_freely(w: IntMatrix, h_rows: Sequence[Sequence[int]]) -> bool:
     """Whether the subtorus spanned by h_rows acts freely on the spheres.
 
     The stabilizer of a point with support S inside the subtorus is the
-    kernel of the |S| x h exponent matrix on the subtorus; freeness means a
-    trivial kernel for every realizable support, i.e. full rank h with all
-    Smith invariant factors 1.
+    kernel of the |S| x h exponent matrix on the subtorus; it is trivial
+    exactly when that matrix has rank h with all Smith invariant factors 1,
+    i.e. when its h x h minors have gcd 1.  Every realizable support contains
+    a vertex support, and the minors of the larger matrix include those of
+    the smaller, so adding rows can only shrink that gcd: freeness at the
+    four vertex supports is freeness everywhere.  For h > 2 a vertex matrix
+    has rank at most 2, so the first vertex already fails.
     """
     e = [tuple(int(x) for x in row) for row in h_rows]
     if any(len(row) != 4 for row in e):
         raise ValueError("subtorus rows must have 4 entries")
-    for support in realizable_supports():
+    for support in VERTEX_SUPPORTS:
         restricted = [
             [sum(a * b for a, b in zip(w.entries[i], row)) for row in e]
             for i in sorted(support)
@@ -292,8 +295,11 @@ def induced_stabilizer(
 
     The ambient stabilizer of the point is the joint kernel of the characters
     indexed by the support; its image in the residual torus (ambient torus
-    modulo the free subtorus, coordinatized by the complement) is computed
-    through annihilator lattices, exactly.
+    modulo the free subtorus, coordinatized by the complement) is dual to the
+    residual characters whose pullbacks vanish off the support.  That image
+    is always a torus: its rank is the rank of the off-support block of the
+    pulled-back characters, and its slopes are the Hermite basis of the
+    saturation of that block's row span, so the result is exact.
 
     Args:
         w: 4x4 unimodular character matrix of the ambient torus.
@@ -344,22 +350,45 @@ def _support_stabilizer(
 
     A residual character annihilates the projected stabilizer of the support
     exactly when its pullback lies in the span of the support characters,
-    i.e. when its coordinates off the support vanish.  These characters form
-    the annihilator lattice; the stabilizer is its dual.
+    i.e. when its coordinates off the support vanish.  With A the k x m block
+    of off-support rows, the annihilator lattice is ker A and the stabilizer
+    is its dual:
+
+    - the group is Z^m / ker A, which is isomorphic to the image A(Z^m), so
+      it is free of rank rank(A);
+    - the slopes are the Hermite basis of the annihilator of ker A, which is
+      the saturation of the row span of A.
+
+    A Hermite basis is unique, so every route to that saturation gives the
+    same slopes: none for k = 0; for one nonzero row, that row made primitive
+    with positive leading entry; for two rows x, y of Z^3 with x ^ y != 0,
+    the kernel of x ^ y; otherwise the kernel of the kernel of A.
     """
     off_support = [coords[i] for i in range(4) if i not in sup]
-    annihilator = kernel_basis(off_support, m)
-    if annihilator:
-        group = quotient_group(IntMatrix(annihilator))
-        slopes = kernel_basis(annihilator, m)
+    k = len(off_support)
+    if k == 0:
+        rank, slopes = 0, ()
+    elif k == 1 and any(off_support[0]):
+        rank, slopes = 1, (normalize_weight(off_support[0]),)
+    elif k == 2 and m == 3 and any(cross := _cross(*off_support)):
+        rank, slopes = 2, kernel_basis((cross,), 3)
     else:
-        group = AbelianGroup(m, ())
-        slopes = IntMatrix.identity(m).entries
+        annihilator = kernel_basis(off_support, m)
+        rank, slopes = m - len(annihilator), kernel_basis(annihilator, m)
+    group = AbelianGroup(rank, ())
     if len(slopes) != group.free_rank:
         raise StabilizerRankUnexpectedError(
             f"support {sorted(sup)}: {len(slopes)} slopes for stabilizer {group}"
         )
     return StabilizerSubgroup(group=group, slopes=slopes)
+
+
+def _cross(x: Sequence[int], y: Sequence[int]) -> tuple[int, int, int]:
+    return (
+        x[1] * y[2] - x[2] * y[1],
+        x[2] * y[0] - x[0] * y[2],
+        x[0] * y[1] - x[1] * y[0],
+    )
 
 
 @dataclass(frozen=True)
@@ -664,6 +693,8 @@ def extend_circle_to_t2(p: CircleActionParams) -> ExtensionOutcome:
     Raises:
         NotFreeError: the circle does not act freely.
         DegenerateActionError: all exponents vanish.
+        VerificationError: the witness fails the freeness equations (an
+            implementation fault).
     """
     if not is_free_circle(p):
         raise NotFreeError(f"circle {p} has a common exponent divisor across factors")
@@ -688,7 +719,8 @@ def extend_circle_to_t2(p: CircleActionParams) -> ExtensionOutcome:
     m, n, k, l = solution
     witness = T2ActionParams(a=a, b=b, c=c, d=d, n=n, k=k, m=m, l=l)
     check = is_free_t2(witness)
-    assert check.free, f"extension witness fails: {check.failing}"
+    if not check.free:
+        raise VerificationError(f"extension witness {witness} fails: {check.failing}")
     return ExtensionOutcome(
         status=ExtensionStatus.EXTENDED,
         witness=witness,

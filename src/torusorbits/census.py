@@ -21,7 +21,6 @@ import numpy as np
 from .biquotient import T2ActionParams, realize_dim4, realize_dim5
 from .classify import Dim5Params, ManifoldType, classify_dim4, classify_dim5
 from .errors import PackedKeyLimitError, UnsupportedRankError, VerificationError
-from .lattice import AbelianGroup
 from .orbit_space import (
     Weight,
     WeightedOrbitSpace,
@@ -65,6 +64,18 @@ def primitive_weights(rank: int, bound: int) -> list[Weight]:
     return sorted(out, key=weight_key)
 
 
+def _signed_permutation_representatives(weights: list[Weight]) -> list[int]:
+    """One index per orbit of the box weights under signed coordinate permutations.
+
+    Up to sign normalization, a weight's orbit is every weight with the same
+    multiset of absolute entries.
+    """
+    first: dict[tuple[int, ...], int] = {}
+    for index, w in enumerate(weights):
+        first.setdefault(tuple(sorted(abs(e) for e in w)), index)
+    return sorted(first.values())
+
+
 def _rank2_classes(bound: int) -> list[tuple[Weight, ...]]:
     weights = primitive_weights(2, bound)
     n = len(weights)
@@ -74,7 +85,10 @@ def _rank2_classes(bound: int) -> list[tuple[Weight, ...]]:
     ]
     neighbor_sets = [set(nb) for nb in neighbors]
     cycles = set()
-    for i in range(n):
+    # As in _rank3_classes: the box is invariant under signed coordinate
+    # permutations, which lie in GL(2, Z), so every class has a cycle whose
+    # first weight is an orbit representative.
+    for i in _signed_permutation_representatives(weights):
         for j in neighbors[i]:
             for k in neighbors[j]:
                 for l in neighbors[k]:
@@ -269,18 +283,6 @@ def _class_keys(keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _signed_permutation_representatives(weights: list[Weight]) -> list[int]:
-    """One index per orbit of the box weights under signed coordinate permutations.
-
-    Up to sign normalization, a weight's orbit is every weight with the same
-    multiset of absolute entries.
-    """
-    first: dict[tuple[int, ...], int] = {}
-    for index, w in enumerate(weights):
-        first.setdefault(tuple(sorted(abs(e) for e in w)), index)
-    return sorted(first.values())
-
-
 _REDUCE_CHUNK = 4_000_000
 
 
@@ -368,7 +370,10 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
 def _build_row(rank: int, canon: tuple[Weight, ...]) -> CensusRow:
     space = WeightedOrbitSpace(rank, canon)
     group = pi1_bound(space)
-    assert group.is_trivial, "census rows are simply connected by construction"
+    if not group.is_trivial:
+        raise VerificationError(
+            f"census class {canon} has fundamental group bound {group}, expected trivial"
+        )
     if rank == 2:
         mtype = classify_dim4(space)
         realization: T2ActionParams | Dim5Params = realize_dim4(space)
@@ -380,7 +385,7 @@ def _build_row(rank: int, canon: tuple[Weight, ...]) -> CensusRow:
     return CensusRow(
         weights=canon,
         manifold_type=mtype,
-        pi1=str(AbelianGroup(0, ())),
+        pi1=str(group),
         realization=realization,
         verified=True,
     )

@@ -1,11 +1,22 @@
-"""Shared helpers for the test suite: random symmetry moves, seed spaces and
-the reference canonicalization."""
+"""Shared helpers for the test suite: random symmetry moves, seed spaces, the
+reference canonicalization and the reference stabilizer route."""
 
 from itertools import product
 from math import gcd
 
-from torusorbits.errors import IllegalOrbitSpaceError, UnsupportedRankError
-from torusorbits.lattice import IntMatrix
+from torusorbits.biquotient import StabilizerSubgroup, realizable_supports
+from torusorbits.errors import (
+    IllegalOrbitSpaceError,
+    StabilizerRankUnexpectedError,
+    UnsupportedRankError,
+)
+from torusorbits.lattice import (
+    AbelianGroup,
+    IntMatrix,
+    invariant_factors,
+    kernel_basis,
+    quotient_group,
+)
 from torusorbits.orbit_space import (
     WeightedOrbitSpace,
     base_change_for_pair,
@@ -153,3 +164,42 @@ def reference_canonicalize(s, oriented=False):
     assert best_weights is not None and best_move is not None
     b, a0 = best_move
     return WeightedOrbitSpace(s.rank, best_weights), IntMatrix(b) @ a0
+
+
+# --- reference stabilizer route
+#
+# The generic computations that biquotient's closed forms replaced: each
+# stabilizer from two Hermite-form kernels and a Smith diagonalization, and
+# freeness checked on all nine supports.  Kept only to check the closed
+# forms against.
+
+
+def reference_support_stabilizer(coords, m, sup):
+    off_support = [coords[i] for i in range(4) if i not in sup]
+    annihilator = kernel_basis(off_support, m)
+    if annihilator:
+        group = quotient_group(IntMatrix(annihilator))
+        slopes = kernel_basis(annihilator, m)
+    else:
+        group = AbelianGroup(m, ())
+        slopes = IntMatrix.identity(m).entries
+    if len(slopes) != group.free_rank:
+        raise StabilizerRankUnexpectedError(
+            f"support {sorted(sup)}: {len(slopes)} slopes for stabilizer {group}"
+        )
+    return StabilizerSubgroup(group=group, slopes=slopes)
+
+
+def reference_subtorus_acts_freely(w, h_rows):
+    e = [tuple(int(x) for x in row) for row in h_rows]
+    if any(len(row) != 4 for row in e):
+        raise ValueError("subtorus rows must have 4 entries")
+    for support in realizable_supports():
+        restricted = [
+            [sum(a * b for a, b in zip(w.entries[i], row)) for row in e]
+            for i in sorted(support)
+        ]
+        factors = invariant_factors(restricted)
+        if len(factors) != len(e) or any(f != 1 for f in factors):
+            return False
+    return True

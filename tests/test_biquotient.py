@@ -7,6 +7,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusorbits.biquotient as biquotient
 from torusorbits.biquotient import (
@@ -58,10 +60,24 @@ from torusorbits.errors import (
     UnsupportedRankError,
     VerificationError,
 )
-from torusorbits.lattice import AbelianGroup, IntMatrix, determinant, gcd_ext, invert_unimodular
-from torusorbits.orbit_space import are_equivalent, normalize_weight
+from torusorbits.census import _rank3_classes
+from torusorbits.lattice import (
+    AbelianGroup,
+    IntMatrix,
+    determinant,
+    gcd_ext,
+    invariant_factors,
+    invert_unimodular,
+)
+from torusorbits.orbit_space import WeightedOrbitSpace, are_equivalent, normalize_weight
 
-from support import random_legal_space, space
+from support import (
+    random_legal_space,
+    random_unimodular_rows,
+    reference_subtorus_acts_freely,
+    reference_support_stabilizer,
+    space,
+)
 
 E2_COMPLEMENT = ((1, 0, 0, 0), (0, 1, 0, 0))
 E3_COMPLEMENT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
@@ -245,6 +261,118 @@ def test_stabilizer_errors():
         induced_stabilizer(w, WZ_TORUS, FULL_SUPPORT, ((1, 0, 0, 0), (1, 0, 0, 0)))
 
 
+def assert_stabilizers_match_reference(w, h_rows, complement=None):
+    """The closed-form stabilizers and freeness verdict equal the generic ones."""
+    assert subtorus_acts_freely(w, h_rows) == reference_subtorus_acts_freely(w, h_rows)
+    _, p_inv = biquotient._residual_basis(h_rows, complement)
+    coords = biquotient._pullback_coordinates(w, p_inv, len(h_rows))
+    m = 4 - len(h_rows)
+    for sup in realizable_supports():
+        assert biquotient._support_stabilizer(coords, m, sup) == reference_support_stabilizer(
+            coords, m, sup
+        )
+
+
+def test_stabilizers_match_reference_on_census_params():
+    classes = _rank3_classes(2)
+    assert len(classes) == 945
+    for canon in classes:
+        params = realize_dim5(WeightedOrbitSpace(3, canon))
+        assert_stabilizers_match_reference(torus_weight_matrix(params), Z_CIRCLE, E3_COMPLEMENT)
+
+
+def test_stabilizers_match_reference_on_t2_families_and_three_rows():
+    families = [split_t2_family(r, lam) for r, lam in product(range(-4, 5), (0, 1))]
+    for p in families + [mixed_t2_family()]:
+        w = torus_weight_matrix(p)
+        assert_stabilizers_match_reference(w, WZ_TORUS, E2_COMPLEMENT)
+        assert_stabilizers_match_reference(w, WZ_TORUS)
+    # A three-row subtorus leaves a circle (m = 1); it never acts freely.
+    three = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0))
+    for w in (IntMatrix.identity(4), torus_weight_matrix(DIM5_EXAMPLE)):
+        assert not subtorus_acts_freely(w, three)
+        assert_stabilizers_match_reference(w, three)
+
+
+# Exponents (a, b, c, d) in [-3, 3] of a free circle: the Dim5Params gcds.
+FREE_EXPONENTS = [
+    e
+    for e in product(range(-3, 4), repeat=4)
+    if gcd(e[0], e[2]) == gcd(e[0], e[3]) == gcd(e[1], e[2]) == gcd(e[1], e[3]) == 1
+]
+
+
+T2_FREE_PARAMS = [mixed_t2_family()] + [
+    split_t2_family(r, lam) for r, lam in product(range(-3, 4), (0, 1))
+]
+
+
+@st.composite
+def subtorus_cases(draw):
+    """A character matrix and 1-3 subtorus rows, free and not free.
+
+    A free pair, a Dim5Params matrix with the z-circle or a free 2-torus
+    family with the (w, z) torus, is moved by a random unimodular M: the
+    exponents w_i . e do not change when w becomes w M and e becomes
+    M^-1 e, so the moved pair is still free.  The rows are then kept, or
+    replaced by random rows or by rows of a random unimodular matrix.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        a, b, c, d = draw(st.sampled_from(FREE_EXPONENTS))
+        k, l, t = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-1, 1)))
+        _, m, n = gcd_ext(a, c)
+        params = Dim5Params(a, b, c, d, k, l, m + t * c, n - t * a)
+        w, free_rows = torus_weight_matrix(params), Z_CIRCLE
+    else:
+        w, free_rows = torus_weight_matrix(draw(st.sampled_from(T2_FREE_PARAMS))), WZ_TORUS
+    move = IntMatrix.from_rows(random_unimodular_rows(rng, 4))
+    w = w @ move
+    kind = draw(st.sampled_from(("free", "random", "summand")))
+    count = draw(st.integers(1, 3))
+    if kind == "free":
+        h_rows = [invert_unimodular(move).apply(e) for e in free_rows]
+    elif kind == "random":
+        row = st.tuples(*[st.integers(-2, 2)] * 4)
+        h_rows = draw(st.lists(row, min_size=count, max_size=count))
+    else:
+        h_rows = random_unimodular_rows(rng, 4)[:count]
+    return kind, w, tuple(tuple(row) for row in h_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subtorus_cases())
+def test_stabilizers_match_reference_property(case):
+    kind, w, h_rows = case
+    free = subtorus_acts_freely(w, h_rows)
+    assert free == reference_subtorus_acts_freely(w, h_rows)
+    assert free or kind != "free"
+    # Stabilizers live in a residual torus only when the rows span a direct
+    # summand, i.e. complete to a basis.
+    if invariant_factors(h_rows) == (1,) * len(h_rows):
+        assert_stabilizers_match_reference(w, h_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.tuples(*[st.integers(-6, 6)] * m), min_size=4, max_size=4),
+        )
+    )
+)
+def test_support_stabilizer_matches_reference_on_any_coordinates(m_and_coords):
+    # Every branch of the closed form, including the degenerate off-support
+    # blocks that only non-free subtori produce.
+    m, coords = m_and_coords
+    coords = tuple(coords)
+    for sup in realizable_supports():
+        assert biquotient._support_stabilizer(coords, m, sup) == reference_support_stabilizer(
+            coords, m, sup
+        )
+
+
 def test_induced_diagram_split_exact():
     for r, lam in product(range(-3, 4), (0, 1)):
         w = torus_weight_matrix(split_t2_family(r, lam))
@@ -375,6 +503,17 @@ def test_extension_examples():
 
     with pytest.raises(NotFreeError):
         extend_circle_to_t2(CircleActionParams(2, 3, 4, 5))
+
+
+def test_extension_witness_failure_raises(monkeypatch):
+    # The EXTENDED certificate must be a real check, also under python -O.
+    monkeypatch.setattr(
+        biquotient,
+        "is_free_t2",
+        lambda p: biquotient.T2Freeness(free=False, eps=None, failing="forced"),
+    )
+    with pytest.raises(VerificationError):
+        extend_circle_to_t2(CircleActionParams(1, 1, 1, 1))
 
 
 def test_extension_obstructed_family():

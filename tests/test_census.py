@@ -33,7 +33,13 @@ from torusorbits.classify import (
     S3TWISTS2,
     S3XS2,
 )
-from torusorbits.errors import PackedKeyLimitError, TorusOrbitsError, UnsupportedRankError
+from torusorbits.errors import (
+    PackedKeyLimitError,
+    TorusOrbitsError,
+    UnsupportedRankError,
+    VerificationError,
+)
+from torusorbits.lattice import cyclic_group
 from torusorbits.orbit_space import (
     WeightedOrbitSpace,
     are_equivalent,
@@ -96,13 +102,19 @@ def test_bound_zero_is_empty_success():
 
 
 def test_rank2_dual_route():
-    for bound in (1, 2):
+    for bound in (1, 2, 3):
         rows = run_census(2, bound)
         assert [row.weights for row in rows] == reference_classes(2, bound)
 
 
 def test_rank3_dual_route():
     assert _rank3_classes(1) == reference_classes(3, 1)
+
+
+def test_pi1_column_comes_from_the_computed_group(monkeypatch):
+    monkeypatch.setattr(census, "pi1_bound", lambda space: cyclic_group(2))
+    with pytest.raises(VerificationError):
+        run_census(2, 1)
 
 
 def test_rank2_bound1_contents():
