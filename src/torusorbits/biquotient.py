@@ -21,10 +21,9 @@ from .classify import (
     CP2_MINUS_CP2,
     CP2_PLUS_CP2,
     S2XS2,
-    S3TWISTS2,
-    S3XS2,
     Dim5Params,
     ManifoldType,
+    circle_quotient_type,
     classify_dim4,
     extract_dim5_params,
     in_canonical_position,
@@ -57,7 +56,6 @@ from .orbit_space import (
     are_equivalent,
     canonicalize,
     normalize_weight,
-    require_legal,
 )
 
 # Coordinate indices into (alpha1, beta1, alpha2, beta2).
@@ -157,11 +155,7 @@ def w2_class(p: CircleActionParams) -> ManifoldType:
     """
     if not is_free_circle(p):
         raise NotFreeError(f"circle {p} has a common exponent divisor across factors")
-    total = p.a + p.b + p.c + p.d
-    evens = sum(1 for v in (p.a, p.b, p.c, p.d) if v % 2 == 0)
-    # Under freeness an odd sum is the same as a unique even exponent.
-    assert (total % 2 == 1) == (evens == 1)
-    return S3TWISTS2 if total % 2 else S3XS2
+    return circle_quotient_type(p.a, p.b, p.c, p.d)
 
 
 @dataclass(frozen=True)
@@ -195,10 +189,14 @@ def torus_weight_matrix(params: T2ActionParams | Dim5Params) -> IntMatrix:
     """Character matrix of the ambient 4-torus determined by the parameters.
 
     Row i is the character acting on coordinate i of (alpha1, beta1, alpha2,
-    beta2); columns are the (u, v, w, z) circles.  The determinant is
-    a*m + c*n and must be a unit for the action to be effective.
+    beta2); columns are the (u, v, w, z) circles.  Expanding along the u
+    and v columns leaves the determinant a*m + c*n, which must be a unit for
+    the action to be effective.
     """
-    w = IntMatrix.from_rows(
+    det = params.a * params.m + params.c * params.n
+    if det not in (1, -1):
+        raise ValueError(f"weight matrix determinant {det}, expected a unit")
+    return IntMatrix.from_rows(
         [
             [0, 0, -params.n, params.a],
             [1, 0, params.k, params.b],
@@ -206,11 +204,6 @@ def torus_weight_matrix(params: T2ActionParams | Dim5Params) -> IntMatrix:
             [0, 1, params.l, params.d],
         ]
     )
-    det = determinant(w)
-    assert det == params.a * params.m + params.c * params.n
-    if det not in (1, -1):
-        raise ValueError(f"weight matrix determinant {det}, expected a unit")
-    return w
 
 
 def subtorus_acts_freely(w: IntMatrix, h_rows: Sequence[Sequence[int]]) -> bool:
@@ -588,17 +581,18 @@ def realize_dim5(target: WeightedOrbitSpace) -> Dim5Params:
     values are reproducible); others are canonicalized first.  The round trip
     through the induced orbit space of the z-circle is verified.
 
+    Rank and weight count are checked first, then legality by canonicalize
+    or extract_dim5_params.
+
     Raises:
         UnsupportedRankError: target rank is not 3.
         UnsupportedWeightCountError: target does not have four weights.
         IllegalOrbitSpaceError: target is not legal.
-        GcdConditionViolatedError: target is not simply connected or fails
-            another gcd condition.
+        GcdConditionViolatedError: target is not simply connected.
         VerificationError: the round trip fails (an implementation fault).
     """
     if target.rank != 3:
         raise UnsupportedRankError(f"rank {target.rank} target in the dimension-5 realizer")
-    require_legal(target)
     if target.n_weights != 4:
         raise UnsupportedWeightCountError(f"{target.n_weights} weights, expected 4")
     positioned = target if in_canonical_position(target) else canonicalize(target)[0]
@@ -751,8 +745,7 @@ def circle_bundle_total_space(base: T2ActionParams, p: int, q: int) -> ManifoldT
         c=q * base.c + p * base.m,
         d=q * base.d + p * base.l,
     )
-    # Subcircles of free torus actions are free.
-    assert is_free_circle(sub)
+    # Subcircles of free torus actions are free; w2_class checks it.
     return w2_class(sub)
 
 

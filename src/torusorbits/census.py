@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from .biquotient import T2ActionParams, realize_dim4, realize_dim5
-from .classify import Dim5Params, ManifoldType, classify_dim4, classify_dim5
+from .classify import Dim5Params, ManifoldType, circle_quotient_type, classify_dim4
 from .errors import PackedKeyLimitError, UnsupportedRankError, VerificationError
 from .orbit_space import (
     Weight,
@@ -378,8 +378,10 @@ def _build_row(rank: int, canon: tuple[Weight, ...]) -> CensusRow:
         mtype = classify_dim4(space)
         realization: T2ActionParams | Dim5Params = realize_dim4(space)
     else:
-        mtype = classify_dim5(space)
         realization = realize_dim5(space)
+        # The manifold is the product of two 3-spheres divided by the
+        # realized circle, so the circle's parity gives its type.
+        mtype = circle_quotient_type(realization.a, realization.b, realization.c, realization.d)
     # realize_* verify the induced orbit space against the input before
     # returning, so reaching this point certifies the round trip.
     return CensusRow(

@@ -19,6 +19,7 @@ from .errors import (
     OrientationMismatchError,
     UnsupportedRankError,
     UnsupportedWeightCountError,
+    VerificationError,
 )
 from .lattice import AbelianGroup, cyclic_group, gcd_ext
 from .orbit_space import (
@@ -123,28 +124,20 @@ def classify_dim4(s: WeightedOrbitSpace) -> ManifoldType:
 # --- dimension 5
 
 
+def in_canonical_position(s: WeightedOrbitSpace) -> bool:
+    """Whether s is a rank-3 space with weights e1, e2, x3, x4."""
+    return s.rank == 3 and s.n_weights == 4 and s.weights[:2] == ((1, 0, 0), (0, 1, 0))
+
+
 def _require_canonical_position(s: WeightedOrbitSpace) -> None:
     if s.rank != 3:
         raise UnsupportedRankError(f"rank {s.rank}, expected 3")
     if s.n_weights != 4:
         raise UnsupportedWeightCountError(f"{s.n_weights} weights, expected 4")
-    if s.weights[0] != (1, 0, 0) or s.weights[1] != (0, 1, 0):
+    if not in_canonical_position(s):
         raise NotCanonicalPositionError(
             f"weights start {s.weights[0]}, {s.weights[1]}; expected e1, e2"
         )
-
-
-def in_canonical_position(s: WeightedOrbitSpace) -> bool:
-    """Whether the weights read e1, e2, x3, x4."""
-    try:
-        _require_canonical_position(s)
-    except (
-        UnsupportedRankError,
-        UnsupportedWeightCountError,
-        NotCanonicalPositionError,
-    ):
-        return False
-    return True
 
 
 def pi1_dim5_exact(s: WeightedOrbitSpace) -> AbelianGroup:
@@ -218,28 +211,22 @@ def extract_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
     ties broken by n >= 0), and the shears are k = -(x*m + p*n),
     l = -(y*m + q*n).  All four defining weight equations are re-checked.
 
+    Legality of (e2, x3), (x3, x4), (x4, e1) is three of the four gcd
+    conditions; only gcd(r,z) = 1, simple connectivity, can still fail.
+
     Raises:
-        GcdConditionViolatedError: one of the four gcd conditions fails,
-            named in the message.
+        IllegalOrbitSpaceError: some adjacent pair is not legal.
+        GcdConditionViolatedError: gcd(r,z) != 1.
         InconsistentShearError: the recovered parameters do not reproduce the
             weights (cannot happen; guards the implementation).
     """
     _require_canonical_position(s)
     require_legal(s)
     (p, q, r), (x, y, z) = s.weights[2], s.weights[3]
-    conditions = (
-        ("gcd(r,z)", gcd(r, z)),
-        ("gcd(p,r)", gcd(p, r)),
-        ("gcd(y,z)", gcd(y, z)),
-        ("gcd(p*y-q*x, r*x-p*z, q*z-r*y)", gcd(p * y - q * x, r * x - p * z, q * z - r * y)),
-    )
-    for name, value in conditions:
-        if value != 1:
-            raise GcdConditionViolatedError(f"{name} = {value}, expected 1")
+    if (g := gcd(r, z)) != 1:
+        raise GcdConditionViolatedError(f"gcd(r,z) = {g}, expected 1")
     a, b, c, d = z, p * z - r * x, r, q * z - r * y
-    _, bezout_n, bezout_m = gcd_ext(c, a)
-    m, n = bezout_m, bezout_n
-    assert a * m + c * n == 1
+    _, n, m = gcd_ext(c, a)
     k = -(x * m + p * n)
     l = -(y * m + q * n)
     # Both determinations of the shears must agree with the weights.
@@ -255,13 +242,27 @@ def extract_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
     return Dim5Params(a=a, b=b, c=c, d=d, k=k, l=l, m=m, n=n)
 
 
+def circle_quotient_type(a: int, b: int, c: int, d: int) -> ManifoldType:
+    """Type of S3xS3 divided by the free circle with exponents (a, b, c, d).
+
+    Twisted exactly when a + b + c + d is odd.  Freeness makes that the same
+    as exactly one even exponent; a VerificationError says they disagree.
+    """
+    odd = (a + b + c + d) % 2 == 1
+    evens = sum(1 for v in (a, b, c, d) if v % 2 == 0)
+    if odd != (evens == 1):
+        raise VerificationError(f"exponents {(a, b, c, d)}: {evens} even, odd sum {odd}")
+    return S3TWISTS2 if odd else S3XS2
+
+
 def classify_dim5(s: WeightedOrbitSpace) -> ManifoldType:
     """Diffeomorphism type of the 5-manifold over a rank-3 orbit space.
 
     Three weights give the 5-sphere when simply connected.  Four weights give
-    one of the two 3-sphere bundles over the 2-sphere, twisted exactly when
-    a + b + c + d is odd.  Inputs not already in canonical position are
-    canonicalized first; the type is constant on equivalence classes.
+    the circle_quotient_type of the circle of extract_dim5_params.  Inputs
+    not already in canonical position are canonicalized first; the type is
+    constant on equivalence classes.  Rank and weight count are checked
+    first, then legality by canonicalize or pi1_dim5_exact.
 
     Raises:
         UnsupportedRankError: rank is not 3.
@@ -270,28 +271,24 @@ def classify_dim5(s: WeightedOrbitSpace) -> ManifoldType:
     """
     if s.rank != 3:
         raise UnsupportedRankError(f"rank {s.rank} orbit space in the 5-manifold classifier")
-    require_legal(s)
+    if s.n_weights > 4:
+        raise UnsupportedWeightCountError(
+            f"{s.n_weights} weights; the classification covers at most 4"
+        )
     if s.n_weights == 3:
+        require_legal(s)
         bound = pi1_bound(s)
         # The bound is only proved exact for four weights; with three it is
         # still conclusive when trivial.
         if bound.is_trivial:
             return S5
         return not_simply_connected(bound)
-    if s.n_weights > 4:
-        raise UnsupportedWeightCountError(
-            f"{s.n_weights} weights; the classification covers at most 4"
-        )
     positioned = s if in_canonical_position(s) else canonicalize(s)[0]
     pi1 = pi1_dim5_exact(positioned)
     if not pi1.is_trivial:
         return not_simply_connected(pi1)
     params = extract_dim5_params(positioned)
-    total = params.a + params.b + params.c + params.d
-    evens = sum(1 for v in (params.a, params.b, params.c, params.d) if v % 2 == 0)
-    # The pairwise gcd conditions make the two parity readings equivalent.
-    assert (total % 2 == 1) == (evens == 1)
-    return S3TWISTS2 if total % 2 else S3XS2
+    return circle_quotient_type(params.a, params.b, params.c, params.d)
 
 
 @dataclass(frozen=True)

@@ -125,8 +125,12 @@ def pair_is_legal(x: Sequence[int], y: Sequence[int]) -> bool:
 
     Equivalent to its Smith invariant factors being (1, 1), which in turn is
     the gcd of all 2 x 2 minors being 1.  For n = 2 this is |det| = 1.
+
+    Raises:
+        ValueError: x and y have different lengths.
     """
-    assert len(x) == len(y)
+    if len(x) != len(y):
+        raise ValueError(f"weights {tuple(x)} and {tuple(y)} differ in length")
     minors = [
         x[i] * y[j] - x[j] * y[i] for i, j in combinations(range(len(x)), 2)
     ]
@@ -230,7 +234,7 @@ def _nearest_shears(lead: int, third: int) -> tuple[int, ...]:
 
 
 def _residual_moves(
-    based: Sequence[Weight], rank: int, first_signs: tuple[int, ...] = (1, -1)
+    based: Sequence[Weight], rank: int
 ) -> Iterator[tuple[list[Weight], tuple[Weight, ...]]]:
     """Residual moves fixing e1, e2 up to sign, each with the images of based.
 
@@ -238,29 +242,31 @@ def _residual_moves(
     diagonal sign matrices.  For rank 3 they are upper-triangular with signs
     on the diagonal and shears u, v feeding the third coordinate into the
     first two.  Only the shears nearest to zeroing the first affected entry
-    can yield the minimum, so the search is finite and exact.  The order,
-    signs before shears and + before -, decides which of several minimal
-    moves canonicalize returns.
+    can yield the minimum, so the search is finite and exact.  -I is a
+    residual move and weights are sign-normalized, so the first sign is
+    fixed to +1: 2 moves at rank 2 and 16 at rank 3.  The order, signs
+    before shears and + before -, decides which of several minimal moves
+    canonicalize returns.
     """
     if rank == 2:
-        for s1, s2 in product(first_signs, (1, -1)):
-            yield [(s1 * a, s2 * b) for a, b in based], ((s1, 0), (0, s2))
+        for s2 in (1, -1):
+            yield [(a, s2 * b) for a, b in based], ((1, 0), (0, s2))
         return
     # The first weight with nonzero third coordinate is the earliest sequence
     # position the shears touch; minimize it first.
     pivot = next((w for w in based if w[2] != 0), None)
-    for s1, s2, s3 in product(first_signs, (1, -1), (1, -1)):
+    for s2, s3 in product((1, -1), (1, -1)):
         if pivot is None:
             us: tuple[int, ...] = (0,)
             vs: tuple[int, ...] = (0,)
         else:
-            us = _nearest_shears(s1 * pivot[0], pivot[2])
+            us = _nearest_shears(pivot[0], pivot[2])
             vs = _nearest_shears(s2 * pivot[1], pivot[2])
         for u in us:
             for v in vs:
                 yield (
-                    [(s1 * a + u * c, s2 * b + v * c, s3 * c) for a, b, c in based],
-                    ((s1, 0, u), (0, s2, v), (0, 0, s3)),
+                    [(a + u * c, s2 * b + v * c, s3 * c) for a, b, c in based],
+                    ((1, 0, u), (0, s2, v), (0, 0, s3)),
                 )
 
 
@@ -313,13 +319,11 @@ def _start_key(seq: tuple[Weight, ...], rank: int) -> tuple[int, ...]:
     """Minimal _flat_key of one start (seq[0], seq[1] sent to e1, e2).
 
     The based e1 and e2 normalize to themselves under every residual move,
-    so only weights 3..n enter the key.  -I is a residual move and weights
-    are sign-normalized, so the first sign is fixed to +1: 2 moves at rank 2
-    and 16 at rank 3.
+    so only weights 3..n enter the key.
     """
     frame = _frame(seq[0], seq[1])
     based = [tuple(sum(f * e for f, e in zip(row, w)) for row in frame) for w in seq[2:]]
-    return min(_flat_key(images) for images, _ in _residual_moves(based, rank, (1,)))
+    return min(_flat_key(images) for images, _ in _residual_moves(based, rank))
 
 
 def canonicalize(

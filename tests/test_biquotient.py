@@ -47,17 +47,21 @@ from torusorbits.classify import (
     S3TWISTS2,
     S3XS2,
     Dim5Params,
+    circle_quotient_type,
+    classify_dim5,
     dim5_orbit_space,
 )
 from torusorbits.errors import (
     DegenerateActionError,
     GcdConditionViolatedError,
+    IllegalOrbitSpaceError,
     NotFreeError,
     NotFreeSubtorusError,
     NotRealizableError,
     SlopesNotCoprimeError,
     UnrealizableSupportError,
     UnsupportedRankError,
+    UnsupportedWeightCountError,
     VerificationError,
 )
 from torusorbits.census import _rank3_classes
@@ -177,6 +181,12 @@ def test_w2_class_parity_property():
         assert t == (S3TWISTS2 if (p.a + p.b + p.c + p.d) % 2 else S3XS2)
         seen[t] += 1
     assert seen[S3XS2] > 10 and seen[S3TWISTS2] > 10
+
+
+def test_parity_cross_check_raises_on_a_circle_that_is_not_free():
+    # Odd sum, but three even exponents: the two parity readings disagree.
+    with pytest.raises(VerificationError):
+        circle_quotient_type(2, 2, 2, 1)
 
 
 def test_t2_freeness_examples():
@@ -463,6 +473,24 @@ def test_realize_dim5_round_trip_random():
         realized += 1
         assert are_equivalent(dim5_orbit_space(params), target)
     assert realized > 10
+
+
+# Illegal rank-3 inputs: (0,0,1) twice in a row fails adjacency.
+ILLEGAL_POSITIONED = space(3, (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1))
+ILLEGAL_MOVED = ILLEGAL_POSITIONED.rotated(1)
+ILLEGAL_FIVE = space(3, (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (1, 1, 1))
+
+
+def test_rank3_error_order_is_shared_by_realize_and_classify():
+    # Rank and weight count first, then legality by the first step that
+    # needs it: canonicalize for a moved input, pi1_dim5_exact or
+    # extract_dim5_params for a positioned one.
+    for solver in (realize_dim5, classify_dim5):
+        for target in (ILLEGAL_POSITIONED, ILLEGAL_MOVED):
+            with pytest.raises(IllegalOrbitSpaceError, match="failing adjacent pairs"):
+                solver(target)
+        with pytest.raises(UnsupportedWeightCountError):
+            solver(ILLEGAL_FIVE)
 
 
 def test_realize_round_trip_mismatch_raises(monkeypatch):

@@ -8,6 +8,7 @@ production pipeline.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -32,6 +33,7 @@ from torusorbits.classify import (
     S2XS2,
     S3TWISTS2,
     S3XS2,
+    classify_dim5,
 )
 from torusorbits.errors import (
     PackedKeyLimitError,
@@ -48,6 +50,8 @@ from torusorbits.orbit_space import (
     pi1_bound,
     sequence_key,
 )
+
+from support import random_symmetry_move
 
 
 def box_primitives(rank, bound):
@@ -144,6 +148,18 @@ def test_rank3_bound1_contents():
 
 def test_rank3_bound2_count_regression():
     assert len(_rank3_classes(2)) == 945
+
+
+def test_rank3_types_agree_with_classify_dim5():
+    # The census reads the type off the realized circle; classify_dim5 reads
+    # it off the weights, also after a symmetry move.
+    rng = random.Random(2011)
+    rows = run_census(3, 2)
+    for index, row in enumerate(rows):
+        space = WeightedOrbitSpace(3, row.weights)
+        assert row.manifold_type == classify_dim5(space)
+        if index % 50 == 0:
+            assert row.manifold_type == classify_dim5(random_symmetry_move(rng, space))
 
 
 def test_packed_key_limit_is_a_domain_error(monkeypatch):

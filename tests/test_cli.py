@@ -186,6 +186,19 @@ def test_pi1_verb(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_rank3_realize_and_classify_exit_3_on_bad_input(capsys):
+    # Positioned and moved illegal four-weight inputs, and an illegal
+    # five-weight input, which fails its weight count first.
+    for weights in (
+        "(1,0,0),(0,1,0),(0,0,1),(0,0,1)",
+        "(0,1,0),(0,0,1),(0,0,1),(1,0,0)",
+        "(1,0,0),(0,1,0),(0,0,1),(0,0,1),(1,1,1)",
+    ):
+        for verb in ("realize", "classify"):
+            code, _, err = invoke(capsys, verb, "--rank", "3", "--weights", weights)
+            assert code == EXIT_DOMAIN and "error:" in err
+
+
 def test_realize_both_ranks(tmp_path, capsys):
     a = write_space(tmp_path / "a.json", 2, [(1, 0), (0, 1), (1, 0), (2, 1)])
     code, out, _ = invoke(capsys, "realize", a, "--format", "json")
@@ -352,13 +365,15 @@ def test_census_byte_identity_subprocess():
 
 
 def test_optimized_interpreter_gives_the_same_verified_output():
-    # python -O strips assert statements.  The round-trip certificates are
-    # explicit checks, so the output must not change and every row must
-    # still come out verified.
+    # python -O strips assert statements.  The round-trip certificates and
+    # the parity cross-check are explicit checks, so the output must not
+    # change and every row must still come out verified.
     script = "from torusorbits.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
     workloads = (
         ["census", "--rank", "3", "--bound", "1", "--format", "json"],
         ["realize", "--rank", "3", "--weights", "(0,1,0),(1,1,1),(1,0,0),(1,2,3)",
+         "--format", "json"],
+        ["classify", "--rank", "3", "--weights", "(0,1,0),(1,1,1),(1,0,0),(1,2,3)",
          "--format", "json"],
     )
     for argv in workloads:
@@ -373,7 +388,10 @@ def test_optimized_interpreter_gives_the_same_verified_output():
         if argv[0] == "census":
             header, rows = rows[0], rows[1:]
             assert len(rows) == header["count"] == 12
-        assert rows and all(row["verified"] is True for row in rows)
+        if argv[0] == "classify":
+            assert rows == [{"rank": 3, "type": "S3twistS2", "verb": "classify"}]
+        else:
+            assert rows and all(row["verified"] is True for row in rows)
 
 
 def test_run_api():

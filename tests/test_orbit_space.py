@@ -85,6 +85,14 @@ def test_pair_legality_matches_smith_route():
         assert pair_is_legal(x, y) == (snf.invariant_factors == (1, 1))
 
 
+def test_pair_legality_rejects_weights_of_different_lengths():
+    # A ValueError, not an assert, so python -O cannot turn it into a verdict.
+    with pytest.raises(ValueError, match="differ in length"):
+        pair_is_legal((1, 0), (0, 1, 0))
+    with pytest.raises(ValueError):
+        pair_is_legal((1, 0, 0, 0), (0, 1, 0))
+
+
 def test_pair_legality_rank2_is_determinant():
     rng = random.Random(1002)
     for _ in range(300):
