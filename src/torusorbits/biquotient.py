@@ -15,6 +15,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .classify import (
@@ -44,10 +45,10 @@ from .errors import (
 from .lattice import (
     AbelianGroup,
     IntMatrix,
-    determinant,
     gcd_ext,
     invariant_factors,
     invert_unimodular,
+    invert_unimodular_4x4,
     kernel_basis,
     unimodular_complete,
 )
@@ -221,12 +222,9 @@ def subtorus_acts_freely(w: IntMatrix, h_rows: Sequence[Sequence[int]]) -> bool:
     e = [tuple(int(x) for x in row) for row in h_rows]
     if any(len(row) != 4 for row in e):
         raise ValueError("subtorus rows must have 4 entries")
+    exponents = [[sum(map(mul, w_row, row)) for row in e] for w_row in w.entries]
     for support in VERTEX_SUPPORTS:
-        restricted = [
-            [sum(a * b for a, b in zip(w.entries[i], row)) for row in e]
-            for i in sorted(support)
-        ]
-        factors = invariant_factors(restricted)
+        factors = invariant_factors([exponents[i] for i in sorted(support)])
         if len(factors) != len(e) or any(f != 1 for f in factors):
             return False
     return True
@@ -302,23 +300,23 @@ def induced_stabilizer(
             completion of h_rows.
 
     Raises:
+        ValueError: w is not 4x4 or its determinant is not a unit.
         UnrealizableSupportError: no point of the spheres has this support.
         NotFreeSubtorusError: the subtorus does not act freely.
     """
-    if w.rows != 4 or w.cols != 4 or determinant(w) not in (1, -1):
-        raise ValueError("character matrix must be 4x4 and unimodular")
+    w_inv = invert_unimodular_4x4(w)
     sup = frozenset(support)
     if not is_realizable_support(sup):
         raise UnrealizableSupportError(f"support {sorted(sup)}")
     if not subtorus_acts_freely(w, h_rows):
         raise NotFreeSubtorusError(f"subtorus rows {h_rows}")
     _, p_inv = _residual_basis(h_rows, complement)
-    coords = _pullback_coordinates(w, p_inv, len(h_rows))
+    coords = _pullback_coordinates(w_inv, p_inv, len(h_rows))
     return _support_stabilizer(coords, 4 - len(h_rows), sup)
 
 
 def _pullback_coordinates(
-    w: IntMatrix, p_inv: IntMatrix, h: int
+    w_inv: IntMatrix, p_inv: IntMatrix, h: int
 ) -> tuple[tuple[int, ...], ...]:
     """Rows of w^-T B, where B holds the last 4 - h columns of p_inv.
 
@@ -326,13 +324,10 @@ def _pullback_coordinates(
     rows of the unimodular w are a basis of the ambient characters, and row
     i of w^-T B psi is the coefficient of w_i when B psi is written in it.
     """
-    w_inv = invert_unimodular(w).entries
+    b_columns = tuple(zip(*(row[h:] for row in p_inv.entries)))
     return tuple(
-        tuple(
-            sum(w_inv[r][i] * p_inv.entries[r][h + j] for r in range(4))
-            for j in range(4 - h)
-        )
-        for i in range(4)
+        tuple(sum(map(mul, w_column, b_column)) for b_column in b_columns)
+        for w_column in zip(*w_inv.entries)
     )
 
 
@@ -423,47 +418,63 @@ def induced_orbit_space(
     of the vertex supports.
 
     Raises:
+        ValueError: w is not 4x4 or its determinant is not a unit.
+        VerificationError: the closed-form inverse of w fails its check.
         NotFreeSubtorusError: the subtorus does not act freely.
         StabilizerRankUnexpectedError: some stratum has a stabilizer of the
             wrong rank (signals an invalid character matrix).
     """
-    if w.rows != 4 or w.cols != 4 or determinant(w) not in (1, -1):
-        raise ValueError("character matrix must be 4x4 and unimodular")
+    w_inv = invert_unimodular_4x4(w)
     if not subtorus_acts_freely(w, h_rows):
         raise NotFreeSubtorusError(f"subtorus rows {h_rows}")
     c_rows, p_inv = _residual_basis(h_rows, complement)
     h = len(h_rows)
     m = 4 - h
-    coords = _pullback_coordinates(w, p_inv, h)
+    coords = _pullback_coordinates(w_inv, p_inv, h)
     full = _support_stabilizer(coords, m, FULL_SUPPORT)
     if not full.group.is_trivial:
         raise StabilizerRankUnexpectedError(
             f"generic orbits have stabilizer {full.group}, expected trivial"
         )
-    vertices = []
+    # Only the stabilizer ranks are read here (see _support_stabilizer): at
+    # a vertex the rank of its two off-support rows, on an arc whether its
+    # one off-support row is nonzero, that row then being the arc's slope.
+    vertex = AbelianGroup(2, ())
     for sup in VERTEX_SUPPORTS:
-        stab = _support_stabilizer(coords, m, sup)
-        if stab.group != AbelianGroup(2, ()):
+        x, y = (coords[i] for i in range(4) if i not in sup)
+        rank = _pair_rank(x, y)
+        if rank != 2:
             raise StabilizerRankUnexpectedError(
-                f"vertex {sorted(sup)} has stabilizer {stab.group}, expected a 2-torus"
+                f"vertex {sorted(sup)} has stabilizer {AbelianGroup(rank, ())}, "
+                "expected a 2-torus"
             )
-        vertices.append(VertexStratum(support=sup, group=stab.group))
-    arcs = []
+    slopes = []
     for sup in ARC_SUPPORTS:
-        stab = _support_stabilizer(coords, m, sup)
-        if stab.group != AbelianGroup(1, ()):
+        (row,) = (coords[i] for i in range(4) if i not in sup)
+        if not any(row):
             raise StabilizerRankUnexpectedError(
-                f"arc {sorted(sup)} has stabilizer {stab.group}, expected a circle"
+                f"arc {sorted(sup)} has stabilizer {AbelianGroup(0, ())}, expected a circle"
             )
-        (slope,) = stab.slopes
-        arcs.append(ArcStratum(support=sup, weight=normalize_weight(slope)))
-    space = WeightedOrbitSpace(4 - len(h_rows), tuple(arc.weight for arc in arcs))
+        slopes.append(row)
+    # The orbit space normalizes each slope once; the arcs reuse its weights.
+    space = WeightedOrbitSpace(m, tuple(slopes))
     return IsotropyDiagram(
         orbit_space=space,
-        arcs=tuple(arcs),
-        vertices=tuple(vertices),
+        arcs=tuple(ArcStratum(sup, wt) for sup, wt in zip(ARC_SUPPORTS, space.weights)),
+        vertices=tuple(VertexStratum(sup, vertex) for sup in VERTEX_SUPPORTS),
         complement=c_rows,
     )
+
+
+def _pair_rank(x: Sequence[int], y: Sequence[int]) -> int:
+    """Rank of the two-row matrix [x; y]: 2 when some 2x2 minor is nonzero.
+
+    For rows of Z^3 the minors are the entries of the cross product x ^ y.
+    """
+    n = len(x)
+    if any(x[a] * y[b] != x[b] * y[a] for a in range(n) for b in range(a + 1, n)):
+        return 2
+    return 1 if any(x) or any(y) else 0
 
 
 def classify_t2_quotient(p: T2ActionParams) -> ManifoldType:

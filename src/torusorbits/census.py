@@ -64,16 +64,19 @@ def primitive_weights(rank: int, bound: int) -> list[Weight]:
     return sorted(out, key=weight_key)
 
 
-def _signed_permutation_representatives(weights: list[Weight]) -> list[int]:
-    """One index per orbit of the box weights under signed coordinate permutations.
+def _signed_permutation_types(weights: list[Weight]) -> list[int]:
+    """Per box weight, the index of the first weight in its orbit under
+    signed coordinate permutations: the orbit representative.
 
     Up to sign normalization, a weight's orbit is every weight with the same
-    multiset of absolute entries.
+    multiset of absolute entries.  The representatives are the weights whose
+    type is their own index.
     """
     first: dict[tuple[int, ...], int] = {}
-    for index, w in enumerate(weights):
+    return [
         first.setdefault(tuple(sorted(abs(e) for e in w)), index)
-    return sorted(first.values())
+        for index, w in enumerate(weights)
+    ]
 
 
 def _rank2_classes(bound: int) -> list[tuple[Weight, ...]]:
@@ -88,7 +91,8 @@ def _rank2_classes(bound: int) -> list[tuple[Weight, ...]]:
     # As in _rank3_classes: the box is invariant under signed coordinate
     # permutations, which lie in GL(2, Z), so every class has a cycle whose
     # first weight is an orbit representative.
-    for i in _signed_permutation_representatives(weights):
+    types = _signed_permutation_types(weights)
+    for i in (i for i, t in enumerate(types) if t == i):
         for j in neighbors[i]:
             for k in neighbors[j]:
                 for l in neighbors[k]:
@@ -291,12 +295,16 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
 
     The key of an ordered cycle (x1, x2, x3, x4) is the minimum of its based
     images (x1, x2 sent to e1, e2) over the residual moves; it is invariant
-    under any unimodular map applied to all four weights.  The box is
-    invariant under signed coordinate permutations, so every key already
-    occurs for a cycle whose first weight is an orbit representative.  A
-    class's canonical form is the minimum of the keys of the eight dihedral
-    starts of any of its cycles, and those are computed from each distinct
-    key directly, so each key is visited once.
+    under any unimodular map applied to all four weights.  A class's
+    canonical form is the minimum of the keys of the eight dihedral starts
+    of any of its cycles, and those are computed from each distinct key
+    directly, so one ordered cycle per class is enough.  The box is
+    invariant under signed coordinate permutations, which preserve each
+    weight's type (its orbit representative, _signed_permutation_types).
+    So every class has a cycle that starts at a weight of the smallest type
+    among its four, moved to that weight's representative; and reversing the
+    cycle with x1 fixed swaps x2 and x4.  Only cycles with x1 a
+    representative, no type below x1's, and x4 not before x2 are keyed.
     """
     # The box holds (b,1,0), (0,b,1) and (1,0,b), whose determinant is
     # b^3 + 1, so a large box is refused before anything is enumerated.
@@ -309,21 +317,27 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
         return []
     w = np.array(weights, dtype=np.int64)
     cross = np.cross(w[:, None, :], w[None, :, :])
-    # The third based coordinates are the triple determinants, so they bound
-    # the packed digits from below; the rest is checked where it is packed.
-    # One n x n slab at a time, so an out-of-domain box fails before the
-    # n^3 table is allocated.
+    # The third based coordinates are the triple determinants
+    # det(w_i, w_j, w_k) = cross[i, j] . w[k], so they bound the packed
+    # digits from below; the rest is checked where it is packed.  No n^3
+    # table of them is built: this check takes one n x n slab at a time, so
+    # an out-of-domain box fails before much is allocated, and the loop
+    # below computes only the determinants it reads.
     for slab in cross:
         if np.abs(slab @ w.T).max() >= _ENTRY_LIMIT:
             raise PackedKeyLimitError(
                 f"entry bound {bound} gives determinants beyond the packed-key limit"
             )
     legal = np.gcd.reduce(np.abs(cross), axis=2) == 1
-    dets = np.einsum("ijc,kc->ijk", cross, w)
+    types = np.array(_signed_permutation_types(weights))
     chunks: list[np.ndarray] = []
     pending = 0
-    for i in _signed_permutation_representatives(weights):
-        partners = np.flatnonzero(legal[i])
+    for i in np.flatnonzero(types == np.arange(len(weights))):
+        # Smallest type first: x2, x3 and x4 have no type below x1's.
+        allowed = types >= types[i]
+        partners = np.flatnonzero(legal[i] & allowed)
+        if len(partners) == 0:
+            continue
         frames = _frames(np.broadcast_to(w[i], (len(partners), 3)), w[partners])
         based_all = np.einsum("pab,nb->pna", frames, w)
         if np.abs(based_all).max() >= _ENTRY_LIMIT:
@@ -331,12 +345,17 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
                 f"entry bound {bound} gives based coordinates beyond the packed-key limit"
             )
         based_all = based_all.astype(np.int32)
+        dets_i = cross[i] @ w.T
+        # (x3, x4) = (k, l) with k ~ l and l ~ i legal, both of allowed type.
+        grid = legal & allowed[:, None] & (legal[:, i] & allowed)[None, :]
         for based, j in zip(based_all, partners):
-            kk, ll = np.nonzero(legal[j][:, None] & legal & legal[:, i][None, :])
+            # Reversal: x4 = l is not before x2 = j.
+            kk, ll = np.nonzero(legal[j][:, None] & grid[:, j:])
+            ll += j
             # Simply connected: the four triple determinants are coprime.
             sc = np.gcd(
-                np.gcd(dets[j, kk, ll], dets[i, kk, ll]),
-                np.gcd(dets[i, j, ll], dets[i, j, kk]),
+                np.gcd((cross[j, kk] * w[ll]).sum(1), dets_i[kk, ll]),
+                np.gcd(dets_i[j, ll], dets_i[j, kk]),
             ) == 1
             kk, ll = kk[sc], ll[sc]
             if len(kk) == 0:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import NonSquareMatrixError, NotCompletableError
+from .errors import NonSquareMatrixError, NotCompletableError, VerificationError
 
 Vector = tuple[int, ...]
 
@@ -55,7 +56,8 @@ class IntMatrix:
 
     def __post_init__(self) -> None:
         widths = {len(row) for row in self.entries}
-        assert len(widths) <= 1, "ragged rows"
+        if len(widths) > 1:
+            raise ValueError(f"ragged rows of lengths {sorted(widths)}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -84,11 +86,15 @@ class IntMatrix:
 
     def apply(self, v: Sequence[int]) -> Vector:
         """Matrix-vector product (v as a column)."""
-        assert len(v) == self.cols
+        if len(v) != self.cols:
+            raise ValueError(f"vector of length {len(v)} for a matrix with {self.cols} columns")
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
         cols = other.transpose().entries
         return IntMatrix(
             tuple(
@@ -358,7 +364,8 @@ def hermite_normal_form(
     work = [list(row) for row in rows]
     if ncols is None:
         ncols = len(work[0]) if work else 0
-    assert all(len(row) == ncols for row in work)
+    if any(len(row) != ncols for row in work):
+        raise ValueError(f"rows must all have {ncols} entries")
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
@@ -401,6 +408,60 @@ def invert_unimodular(m: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(row[n:] for row in reduced))
 
 
+_IDENTITY_4 = IntMatrix.identity(4).entries
+
+
+def invert_unimodular_4x4(m: IntMatrix) -> IntMatrix:
+    """Exact inverse of a 4x4 matrix with determinant +-1, in closed form.
+
+    Laplace expansion along the first two rows: s holds the 2x2 minors of
+    rows 0-1 and c those of rows 2-3, so the determinant is a signed sum of
+    six products s*c, and every cofactor is a row entry times three of
+    those minors.  Dividing the adjugate by a unit determinant is
+    multiplying by it.  The result is checked by one product.
+
+    Raises:
+        ValueError: m is not 4x4, or its determinant is not +-1.
+        VerificationError: m times the computed inverse is not the identity
+            (an implementation fault).
+    """
+    if m.rows != 4 or m.cols != 4:
+        raise ValueError(f"matrix is {m.rows}x{m.cols}, expected 4x4")
+    (a00, a01, a02, a03), (a10, a11, a12, a13) = m.entries[:2]
+    (a20, a21, a22, a23), (a30, a31, a32, a33) = m.entries[2:]
+    s0 = a00 * a11 - a10 * a01
+    s1 = a00 * a12 - a10 * a02
+    s2 = a00 * a13 - a10 * a03
+    s3 = a01 * a12 - a11 * a02
+    s4 = a01 * a13 - a11 * a03
+    s5 = a02 * a13 - a12 * a03
+    c5 = a22 * a33 - a32 * a23
+    c4 = a21 * a33 - a31 * a23
+    c3 = a21 * a32 - a31 * a22
+    c2 = a20 * a33 - a30 * a23
+    c1 = a20 * a32 - a30 * a22
+    c0 = a20 * a31 - a30 * a21
+    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    if det not in (1, -1):
+        raise ValueError(f"matrix has determinant {det}, not +-1")
+    adjugate = (
+        (a11 * c5 - a12 * c4 + a13 * c3, -a01 * c5 + a02 * c4 - a03 * c3,
+         a31 * s5 - a32 * s4 + a33 * s3, -a21 * s5 + a22 * s4 - a23 * s3),
+        (-a10 * c5 + a12 * c2 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
+         -a30 * s5 + a32 * s2 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1),
+        (a10 * c4 - a11 * c2 + a13 * c0, -a00 * c4 + a01 * c2 - a03 * c0,
+         a30 * s4 - a31 * s2 + a33 * s0, -a20 * s4 + a21 * s2 - a23 * s0),
+        (-a10 * c3 + a11 * c1 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
+         -a30 * s3 + a31 * s1 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0),
+    )
+    inverse = tuple(tuple(det * x for x in row) for row in adjugate)
+    columns = tuple(zip(*inverse))
+    product = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in m.entries)
+    if product != _IDENTITY_4:
+        raise VerificationError(f"closed-form inverse of {m.entries} fails m @ inv == I")
+    return IntMatrix(inverse)
+
+
 def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
     """Extend k independent integer n-vectors to a determinant +-1 matrix.
 
@@ -416,7 +477,8 @@ def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
     if not vecs:
         raise ValueError("need at least one row")
     n = len(vecs[0])
-    assert all(len(v) == n for v in vecs)
+    if any(len(v) != n for v in vecs):
+        raise ValueError(f"rows must all have {n} entries")
     k = len(vecs)
     if k > n:
         raise ValueError(f"{k} rows cannot extend to a {n}x{n} basis")
@@ -437,7 +499,8 @@ def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
                 for j in range(n):
                     w[j] -= q * row[j]
     out = IntMatrix.from_rows(vecs + [tuple(w) for w in completion])
-    assert abs(determinant(out)) == 1
+    if abs(determinant(out)) != 1:
+        raise VerificationError(f"completion {out.entries} is not unimodular")
     return out
 
 

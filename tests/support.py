@@ -1,10 +1,20 @@
 """Shared helpers for the test suite: random symmetry moves, seed spaces, the
-reference canonicalization and the reference stabilizer route."""
+reference canonicalization, the reference stabilizer route and the reference
+rank-3 census enumeration."""
 
 from itertools import product
 from math import gcd
 
+import numpy as np
+
 from torusorbits.biquotient import StabilizerSubgroup, realizable_supports
+from torusorbits.census import (
+    _candidate_min_keys,
+    _class_keys,
+    _frames,
+    _unpack_keys,
+    primitive_weights,
+)
 from torusorbits.errors import (
     IllegalOrbitSpaceError,
     StabilizerRankUnexpectedError,
@@ -203,3 +213,48 @@ def reference_subtorus_acts_freely(w, h_rows):
         if len(factors) != len(e) or any(f != 1 for f in factors):
             return False
     return True
+
+
+# --- reference rank-3 census enumeration
+#
+# The loop that the type-ordered enumeration of census._rank3_classes
+# replaced: every ordered cycle whose first weight is a signed-permutation
+# orbit representative is keyed, with no type order and no reversal mask,
+# and the simply-connected test reads a full n^3 determinant table.  It
+# shares the packed-key kernels with the census, so it checks which cycles
+# are keyed, not how a key is computed.
+
+
+def reference_rank3_classes(bound):
+    weights = primitive_weights(3, bound)
+    if not weights:
+        return []
+    first = {}
+    for index, v in enumerate(weights):
+        first.setdefault(tuple(sorted(abs(e) for e in v)), index)
+    w = np.array(weights, dtype=np.int64)
+    cross = np.cross(w[:, None, :], w[None, :, :])
+    legal = np.gcd.reduce(np.abs(cross), axis=2) == 1
+    dets = np.einsum("ijc,kc->ijk", cross, w)
+    chunks = []
+    for i in sorted(first.values()):
+        partners = np.flatnonzero(legal[i])
+        frames = _frames(np.broadcast_to(w[i], (len(partners), 3)), w[partners])
+        based_all = np.einsum("pab,nb->pna", frames, w).astype(np.int32)
+        for based, j in zip(based_all, partners):
+            kk, ll = np.nonzero(legal[j][:, None] & legal & legal[:, i][None, :])
+            sc = np.gcd(
+                np.gcd(dets[j, kk, ll], dets[i, kk, ll]),
+                np.gcd(dets[i, j, ll], dets[i, j, kk]),
+            ) == 1
+            kk, ll = kk[sc], ll[sc]
+            if len(kk):
+                chunks.append(_candidate_min_keys(based[kk], based[ll]))
+    if not chunks:
+        return []
+    keys = np.unique(np.concatenate(chunks))
+    y3s, y4s = _unpack_keys(np.unique(_class_keys(keys)))
+    return [
+        ((1, 0, 0), (0, 1, 0), tuple(y3), tuple(y4))
+        for y3, y4 in zip(y3s.tolist(), y4s.tolist())
+    ]

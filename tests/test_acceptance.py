@@ -4,6 +4,7 @@ Each test prints a single PASS line (run with -s to see them) and asserts
 its own wall-clock budget.  All comparisons are exact integer equality.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -151,6 +152,11 @@ def test_criterion_3_realization_round_trip():
     # pinned when this enumerator and the brute-force reference agreed at
     # smaller bounds; guards against silent under-enumeration
     assert len(rank3) == 75654
+    # and the exact list, so a changed enumeration that keeps the count but
+    # not the classes is caught too
+    assert hashlib.sha256(repr(rank3).encode()).hexdigest() == (
+        "f64ec8ef5c97241759e0888b8877b3e3e9080d73561c5545b88f8934c4fd3c67"
+    )
     for index, canon in enumerate(rank3):
         s = WeightedOrbitSpace(3, canon)
         # realize_* canonicalizes first and verifies the induced orbit space

@@ -59,6 +59,7 @@ from torusorbits.errors import (
     NotFreeSubtorusError,
     NotRealizableError,
     SlopesNotCoprimeError,
+    StabilizerRankUnexpectedError,
     UnrealizableSupportError,
     UnsupportedRankError,
     UnsupportedWeightCountError,
@@ -271,11 +272,38 @@ def test_stabilizer_errors():
         induced_stabilizer(w, WZ_TORUS, FULL_SUPPORT, ((1, 0, 0, 0), (1, 0, 0, 0)))
 
 
+def test_character_matrix_must_be_unimodular():
+    # The closed-form inverse decides unimodularity before anything else is
+    # checked, also for a subtorus that does not act freely.
+    doubled = IntMatrix.from_rows([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    singular = IntMatrix.from_rows([[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    for w in (doubled, singular, IntMatrix.identity(3)):
+        for h_rows in (Z_CIRCLE, ((1, 0, 0, 0),)):
+            with pytest.raises(ValueError):
+                induced_orbit_space(w, h_rows)
+            with pytest.raises(ValueError):
+                induced_stabilizer(w, h_rows, FULL_SUPPORT)
+
+
+def test_vertex_rank_check_raises(monkeypatch):
+    # The vertex ranks are read off the pulled-back rows without a Hermite
+    # form; the check still fires when two off-support rows are parallel.
+    pullback = biquotient._pullback_coordinates
+
+    def parallel(*args):
+        coords = pullback(*args)
+        return coords[:3] + (coords[1],)
+
+    monkeypatch.setattr(biquotient, "_pullback_coordinates", parallel)
+    with pytest.raises(StabilizerRankUnexpectedError, match="vertex"):
+        induced_orbit_space(torus_weight_matrix(DIM5_EXAMPLE), Z_CIRCLE, E3_COMPLEMENT)
+
+
 def assert_stabilizers_match_reference(w, h_rows, complement=None):
     """The closed-form stabilizers and freeness verdict equal the generic ones."""
     assert subtorus_acts_freely(w, h_rows) == reference_subtorus_acts_freely(w, h_rows)
     _, p_inv = biquotient._residual_basis(h_rows, complement)
-    coords = biquotient._pullback_coordinates(w, p_inv, len(h_rows))
+    coords = biquotient._pullback_coordinates(invert_unimodular(w), p_inv, len(h_rows))
     m = 4 - len(h_rows)
     for sup in realizable_supports():
         assert biquotient._support_stabilizer(coords, m, sup) == reference_support_stabilizer(

@@ -51,7 +51,7 @@ from torusorbits.orbit_space import (
     sequence_key,
 )
 
-from support import random_symmetry_move
+from support import random_symmetry_move, reference_rank3_classes
 
 
 def box_primitives(rank, bound):
@@ -148,6 +148,13 @@ def test_rank3_bound1_contents():
 
 def test_rank3_bound2_count_regression():
     assert len(_rank3_classes(2)) == 945
+
+
+def test_type_ordered_enumeration_matches_the_unrestricted_loop():
+    # Keying only cycles that start at their smallest type, with x4 not
+    # before x2, must reach every class the unrestricted loop reaches.
+    for bound in (0, 1, 2):
+        assert _rank3_classes(bound) == reference_rank3_classes(bound)
 
 
 def test_rank3_types_agree_with_classify_dim5():

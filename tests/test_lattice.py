@@ -1,13 +1,16 @@
 """Tests for the exact integer linear algebra layer."""
 
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusorbits.errors import NonSquareMatrixError, NotCompletableError
+import torusorbits.lattice as lattice
+from torusorbits.errors import NonSquareMatrixError, NotCompletableError, VerificationError
 from torusorbits.lattice import (
     AbelianGroup,
     IntMatrix,
@@ -16,6 +19,7 @@ from torusorbits.lattice import (
     gcd_ext,
     hermite_normal_form,
     invert_unimodular,
+    invert_unimodular_4x4,
     kernel_basis,
     quotient_group,
     smith_normal_form,
@@ -334,6 +338,51 @@ def random_unimodular(rng, n, ops=8):
     return IntMatrix.from_rows(m)
 
 
+@st.composite
+def unimodular_4x4_rows(draw):
+    """Rows of a 4x4 matrix of determinant +-1: elementary moves on I.
+
+    A move adds f times row j to row i, or negates row i when i == j.  Some
+    factors sit at the census's packed-key limits (500 per entry, 2^31 per
+    based coordinate), so the inverse is also checked on large entries.
+    """
+    factor = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from((499, -499, 500, -500, 2**31 - 1, -(2**31))),
+    )
+    moves = draw(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), factor), max_size=12)
+    )
+    m = IntMatrix.identity(4).to_lists()
+    for i, j, f in moves:
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(unimodular_4x4_rows(), st.integers(0, 3), st.integers(1, 3))
+def test_closed_form_4x4_inverse_matches_the_hermite_inverse(rows, r, shift):
+    m = IntMatrix.from_rows(rows)
+    assert invert_unimodular_4x4(m) == invert_unimodular(m)
+    # Doubling a row doubles the determinant; copying one row onto another
+    # makes it zero.  Neither has an integer inverse.
+    doubled = [[2 * x for x in row] if k == r else row for k, row in enumerate(rows)]
+    copied = [rows[(r + shift) % 4] if k == r else row for k, row in enumerate(rows)]
+    for bad in (doubled, copied):
+        with pytest.raises(ValueError):
+            invert_unimodular_4x4(IntMatrix.from_rows(bad))
+
+
+def test_closed_form_4x4_inverse_rejects_other_shapes():
+    with pytest.raises(ValueError):
+        invert_unimodular_4x4(IntMatrix.identity(3))
+    with pytest.raises(ValueError):
+        invert_unimodular_4x4(IntMatrix.from_rows([[1, 0, 0, 0]] * 3))
+
+
 # --- unimodular completion
 
 
@@ -349,6 +398,16 @@ def test_complete_frozen_examples():
         unimodular_complete([(1, 0), (0, 2)])
     with pytest.raises(NotCompletableError):
         unimodular_complete([(1, 0), (1, 0)])
+
+
+def test_complete_output_check_raises(monkeypatch):
+    # A completion that is not unimodular is an implementation fault: the
+    # check raises VerificationError, which python -O keeps.
+    monkeypatch.setattr(
+        lattice, "invert_unimodular", lambda m: IntMatrix(((0,) * m.cols,) * m.rows)
+    )
+    with pytest.raises(VerificationError):
+        unimodular_complete([(2, 3)])
 
 
 def test_complete_random_primitive_vectors():
@@ -435,3 +494,41 @@ def test_matrix_shapes_and_products():
     assert (m @ i2).entries == m.entries
     assert not m.is_unimodular()
     assert IntMatrix.from_rows([[2, 3], [1, 2]]).is_unimodular()
+
+
+# Each input guard raises ValueError rather than asserting, so it holds
+# under python -O too.
+SHAPE_GUARDS = (
+    "IntMatrix(((1, 2), (3,)))",
+    "IntMatrix.identity(2).apply((1, 2, 3))",
+    "IntMatrix.identity(2) @ IntMatrix.identity(3)",
+    "hermite_normal_form([[1, 2], [3]])",
+    "unimodular_complete([(1, 0, 0), (0, 1)])",
+)
+
+
+@pytest.mark.parametrize("call", SHAPE_GUARDS)
+def test_shape_guards_raise_value_error(call):
+    namespace = {
+        "IntMatrix": IntMatrix,
+        "hermite_normal_form": hermite_normal_form,
+        "unimodular_complete": unimodular_complete,
+    }
+    with pytest.raises(ValueError):
+        eval(call, namespace)
+
+
+def test_shape_guards_hold_under_optimized_python():
+    script = (
+        "from torusorbits.lattice import IntMatrix, hermite_normal_form, unimodular_complete\n"
+        f"for call in {SHAPE_GUARDS!r}:\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(call)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
