@@ -13,11 +13,11 @@ from torusorbits.biquotient import (
     realize_dim5,
     torus_weight_matrix,
 )
-from torusorbits.orbit_space import WeightedOrbitSpace, are_equivalent, canonicalize
+from torusorbits.orbit_space import WeightedOrbitSpace, are_equivalent, canonical_form
 
 
 def show(label, s):
-    canon, _ = canonicalize(s)
+    canon = canonical_form(s)
     print(f"{label}: weights {','.join(str(w) for w in s.weights)}")
     print(f"  canonical form {','.join(str(w) for w in canon.weights)}")
 

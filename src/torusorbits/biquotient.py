@@ -55,7 +55,7 @@ from .lattice import (
 from .orbit_space import (
     WeightedOrbitSpace,
     are_equivalent,
-    canonicalize,
+    canonical_form,
     normalize_weight,
 )
 
@@ -568,7 +568,7 @@ def realize_dim4(target: WeightedOrbitSpace) -> T2ActionParams:
     """
     if target.rank != 2:
         raise UnsupportedRankError(f"rank {target.rank} target in the dimension-4 realizer")
-    canon, _ = canonicalize(target)
+    canon = canonical_form(target)
     if target.n_weights != 4:
         raise NotRealizableError(
             f"{target.n_weights} weights: not a quotient of the product of two 3-spheres"
@@ -592,7 +592,7 @@ def realize_dim5(target: WeightedOrbitSpace) -> Dim5Params:
     values are reproducible); others are canonicalized first.  The round trip
     through the induced orbit space of the z-circle is verified.
 
-    Rank and weight count are checked first, then legality by canonicalize
+    Rank and weight count are checked first, then legality by canonical_form
     or extract_dim5_params.
 
     Raises:
@@ -606,7 +606,7 @@ def realize_dim5(target: WeightedOrbitSpace) -> Dim5Params:
         raise UnsupportedRankError(f"rank {target.rank} target in the dimension-5 realizer")
     if target.n_weights != 4:
         raise UnsupportedWeightCountError(f"{target.n_weights} weights, expected 4")
-    positioned = target if in_canonical_position(target) else canonicalize(target)[0]
+    positioned = target if in_canonical_position(target) else canonical_form(target)
     params = extract_dim5_params(positioned)
     _verify_round_trip(params, Z_CIRCLE, _Z_COMPLEMENT, positioned.weights, target)
     return params

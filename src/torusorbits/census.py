@@ -24,7 +24,9 @@ from .errors import PackedKeyLimitError, UnsupportedRankError, VerificationError
 from .orbit_space import (
     Weight,
     WeightedOrbitSpace,
-    canonicalize,
+    _unzigzag,
+    _zigzag,
+    canonical_form,
     pair_is_legal,
     pi1_bound,
     sequence_key,
@@ -33,8 +35,8 @@ from .orbit_space import (
 
 CENSUS_COLUMNS = ("weights", "type", "pi1", "realization", "verified")
 
-# Entries are zigzag-coded (0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...) and
-# six codes are packed into one integer; 1024 per digit bounds entries by 500.
+# Entries are zigzag-coded (orbit_space._zigzag) and six codes are packed
+# into one integer; 1024 per digit bounds entries by 500.
 _PACK_BASE = 1024
 _ENTRY_LIMIT = 500
 
@@ -106,7 +108,7 @@ def _rank2_classes(bound: int) -> list[tuple[Weight, ...]]:
     classes = set()
     for i, j, k, l in cycles:
         space = WeightedOrbitSpace(2, (weights[i], weights[j], weights[k], weights[l]))
-        classes.add(canonicalize(space)[0].weights)
+        classes.add(canonical_form(space).weights)
     return sorted(classes, key=sequence_key)
 
 
@@ -124,7 +126,7 @@ _DV = np.array([c[2] for c in _CAND], dtype=np.int32)[:, None]
 
 
 def _zigzag_codes(values: np.ndarray) -> np.ndarray:
-    codes = 2 * np.abs(values) - (values > 0)
+    codes = _zigzag(values)
     if codes.max(initial=0) >= 2 * _ENTRY_LIMIT:
         raise PackedKeyLimitError(
             f"a canonical-key entry exceeds {_ENTRY_LIMIT} in absolute value"
@@ -135,9 +137,10 @@ def _zigzag_codes(values: np.ndarray) -> np.ndarray:
 def _candidate_min_keys(y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
     """Minimal packed key over the residual moves fixing the based pair.
 
-    Mirrors the exact canonicalization's candidate set; the candidate image
-    set only depends on the pair being mapped to the standard basis, not on
-    which completion produced the based coordinates.
+    Mirrors orbit_space._start_key line for line, over a batch of based
+    pairs; the candidate image set only depends on the pair being mapped to
+    the standard basis, not on which completion produced the based
+    coordinates.
     """
     pivot = np.where((y2[:, 2] != 0)[:, None], y2, y3)
     p0, p1, p2 = pivot[:, 0], pivot[:, 1], pivot[:, 2]
@@ -158,32 +161,23 @@ def _candidate_min_keys(y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
     # normalized to be positive whatever the third diagonal sign is.
     sa = np.where(a0 != 0, np.sign(a0), np.sign(a1))
     sb = np.where(b0 != 0, np.sign(b0), np.sign(b1))
-    za_plus = np.where(sa != 0, sa * t2, np.abs(t2))
-    za_minus = np.where(sa != 0, -sa * t2, np.abs(t2))
-    zb_plus = np.where(sb != 0, sb * t3, np.abs(t3))
-    zb_minus = np.where(sb != 0, -sb * t3, np.abs(t3))
+    # The third diagonal sign s3 moves only third-coordinate digits, and the
+    # two keys first differ at the first weight whose third digit it moves;
+    # the smaller key makes that third entry positive.
+    s3 = np.where(sa * t2 != 0, np.sign(sa * t2), np.sign(sb * t3))
+    za = np.where(sa != 0, sa * s3 * t2, np.abs(t2))
+    zb = np.where(sb != 0, sb * s3 * t3, np.abs(t3))
     sa = np.where(sa != 0, sa, 1)
     sb = np.where(sb != 0, sb, 1)
     d0 = _zigzag_codes(sa * a0)
     d1 = _zigzag_codes(sa * a1)
+    d2 = _zigzag_codes(za)
     d3 = _zigzag_codes(sb * b0)
     d4 = _zigzag_codes(sb * b1)
-    # The third diagonal sign moves only the two third-coordinate digits;
-    # the digits between them agree, so minimizing their packed pair picks
-    # the lexicographically smaller of the two full keys.  Packing exceeds
-    # 32 bits, so widen here; everything before fits comfortably in int32.
-    third_plus = (
-        _zigzag_codes(za_plus).astype(np.int64) * _PACK_BASE**3
-        + _zigzag_codes(zb_plus)
-    )
-    third_minus = (
-        _zigzag_codes(za_minus).astype(np.int64) * _PACK_BASE**3
-        + _zigzag_codes(zb_minus)
-    )
-    key = (
-        (d0 * _PACK_BASE + d1).astype(np.int64) * _PACK_BASE**4
-        + (d3 * _PACK_BASE + d4).astype(np.int64) * _PACK_BASE
-        + np.minimum(third_plus, third_minus)
+    d5 = _zigzag_codes(zb)
+    # Packing exceeds 32 bits, so widen here; each half fits in int32.
+    key = ((d0 * _PACK_BASE + d1) * _PACK_BASE + d2).astype(np.int64) * _PACK_BASE**3 + (
+        (d3 * _PACK_BASE + d4) * _PACK_BASE + d5
     )
     return key.min(axis=0)
 
@@ -212,7 +206,7 @@ def _frames(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     a Bezout vector z with c . z == 1 completes (x, y) to a basis, and is
     first moved by the nearest lattice point of span(x, y) so that F stays
     small.  The rows of the inverse of [x y z] are y ^ z, z ^ x and c.  The
-    vectorized twin of orbit_space._frame, which canonicalize searches with.
+    vectorized twin of orbit_space._frame, which the scalar search bases with.
     """
     c = np.cross(x, y)
     g01, s01, t01 = _ext_gcd(c[:, 0], c[:, 1])
@@ -234,7 +228,7 @@ def _unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes = np.stack(
         [(keys // _PACK_BASE**p) % _PACK_BASE for p in range(5, -1, -1)], axis=1
     )
-    entries = np.where(codes % 2 == 1, (codes + 1) // 2, -(codes // 2))
+    entries = _unzigzag(codes)
     return entries[:, :3], entries[:, 3:]
 
 
@@ -378,10 +372,10 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
         for y3, y4 in zip(y3s.tolist(), y4s.tolist())
     ]
     for canon in canonical[::193]:
-        exact = canonicalize(WeightedOrbitSpace(3, canon))[0].weights
+        exact = canonical_form(WeightedOrbitSpace(3, canon)).weights
         if exact != canon:
             raise VerificationError(
-                f"packed census key {canon} disagrees with canonicalize: {exact}"
+                f"packed census key {canon} disagrees with canonical_form: {exact}"
             )
     return canonical
 

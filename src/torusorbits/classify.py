@@ -24,7 +24,7 @@ from .errors import (
 from .lattice import AbelianGroup, cyclic_group, gcd_ext
 from .orbit_space import (
     WeightedOrbitSpace,
-    canonicalize,
+    canonical_form,
     pi1_bound,
     require_legal,
     reversed_space,
@@ -110,8 +110,8 @@ def classify_dim4(s: WeightedOrbitSpace) -> ManifoldType:
         return CP2
     if n > 4:
         return connected_sum_dim4(n - 2)
-    forward, _ = canonicalize(s, oriented=True)
-    backward, _ = canonicalize(reversed_space(s), oriented=True)
+    forward = canonical_form(s, oriented=True)
+    backward = canonical_form(reversed_space(s), oriented=True)
     type_fwd = _dim4_type_from_canonical(forward.weights)
     type_bwd = _dim4_type_from_canonical(backward.weights)
     if type_fwd != type_bwd:
@@ -262,7 +262,7 @@ def classify_dim5(s: WeightedOrbitSpace) -> ManifoldType:
     the circle_quotient_type of the circle of extract_dim5_params.  Inputs
     not already in canonical position are canonicalized first; the type is
     constant on equivalence classes.  Rank and weight count are checked
-    first, then legality by canonicalize or pi1_dim5_exact.
+    first, then legality by canonical_form or pi1_dim5_exact.
 
     Raises:
         UnsupportedRankError: rank is not 3.
@@ -283,7 +283,7 @@ def classify_dim5(s: WeightedOrbitSpace) -> ManifoldType:
         if bound.is_trivial:
             return S5
         return not_simply_connected(bound)
-    positioned = s if in_canonical_position(s) else canonicalize(s)[0]
+    positioned = s if in_canonical_position(s) else canonical_form(s)
     pi1 = pi1_dim5_exact(positioned)
     if not pi1.is_trivial:
         return not_simply_connected(pi1)

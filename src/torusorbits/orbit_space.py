@@ -207,6 +207,19 @@ def entry_key(e: int) -> tuple[int, int]:
     return (abs(e), 0 if e >= 0 else 1)
 
 
+def _zigzag(e):
+    """Code of an entry in entry_key order: 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
+
+    Plain arithmetic, so it maps Python ints and integer numpy arrays alike.
+    """
+    return 2 * abs(e) - (e > 0)
+
+
+def _unzigzag(code):
+    """The entry with the given zigzag code; the inverse of _zigzag."""
+    return (2 * (code % 2) - 1) * ((code + 1) // 2)
+
+
 def weight_key(w: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(entry_key(e) for e in w)
 
@@ -238,10 +251,12 @@ def _residual_moves(
 ) -> Iterator[tuple[list[Weight], tuple[Weight, ...]]]:
     """Residual moves fixing e1, e2 up to sign, each with the images of based.
 
-    The images are not sign-normalized.  For rank 2 the moves are the
-    diagonal sign matrices.  For rank 3 they are upper-triangular with signs
-    on the diagonal and shears u, v feeding the third coordinate into the
-    first two.  Only the shears nearest to zeroing the first affected entry
+    canonicalize walks them only to rebuild the transform of the winning
+    start; the search itself keys each start with _start_key.  The images
+    are not sign-normalized.  For rank 2 the moves are the diagonal sign
+    matrices.  For rank 3 they are upper-triangular with signs on the
+    diagonal and shears u, v feeding the third coordinate into the first
+    two.  Only the shears nearest to zeroing the first affected entry
     can yield the minimum, so the search is finite and exact.  -I is a
     residual move and weights are sign-normalized, so the first sign is
     fixed to +1: 2 moves at rank 2 and 16 at rank 3.  The order, signs
@@ -280,11 +295,10 @@ def _signed(w: Weight) -> Weight:
 def _flat_key(images: Iterable[Weight]) -> tuple[int, ...]:
     """sequence_key order of the normalized images, as one flat integer tuple.
 
-    Entries are zigzag-coded, 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...,
-    which is entry_key order; every weight has the same length, so flat
-    tuples compare like the nested keys.
+    Entries are zigzag-coded, which is entry_key order; every weight has the
+    same length, so flat tuples compare like the nested keys.
     """
-    return tuple(2 * e - 1 if e > 0 else -2 * e for w in images for e in _signed(w))
+    return tuple(_zigzag(e) for w in images for e in _signed(w))
 
 
 def _frame(x: Sequence[int], y: Sequence[int]) -> tuple[Weight, ...]:
@@ -319,11 +333,94 @@ def _start_key(seq: tuple[Weight, ...], rank: int) -> tuple[int, ...]:
     """Minimal _flat_key of one start (seq[0], seq[1] sent to e1, e2).
 
     The based e1 and e2 normalize to themselves under every residual move,
-    so only weights 3..n enter the key.
+    so only weights 3..n enter the key.  Rank 2 takes the minimum over the
+    two moves of _residual_moves.  Rank 3 is the scalar twin of
+    census._candidate_min_keys, line for line: the first sign is fixed, the
+    8 candidates are the second sign and the two nearest shears u, v for
+    the pivot, and the third sign is resolved without enumerating it.
     """
     frame = _frame(seq[0], seq[1])
-    based = [tuple(sum(f * e for f, e in zip(row, w)) for row in frame) for w in seq[2:]]
-    return min(_flat_key(images) for images, _ in _residual_moves(based, rank))
+    if rank == 2:
+        based = [tuple(sum(f * e for f, e in zip(row, w)) for row in frame) for w in seq[2:]]
+        return min(_flat_key(images) for images, _ in _residual_moves(based, rank))
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = frame
+    based = [
+        (f00 * x + f01 * y + f02 * z, f10 * x + f11 * y + f12 * z, f20 * x + f21 * y + f22 * z)
+        for x, y, z in seq[2:]
+    ]
+    pivot = next((w for w in based if w[2] != 0), None)
+    if pivot is None:
+        u0 = v0_pos = v0_neg = 0
+    else:
+        p0, p1, p2 = pivot
+        u0, v0_pos, v0_neg = (-p0) // p2, (-p1) // p2, p1 // p2
+    best = None
+    for s2 in (1, -1):
+        v0 = v0_pos if s2 > 0 else v0_neg
+        for u in (u0, u0 + 1):
+            for v in (v0, v0 + 1):
+                key: list[int] = []
+                s3 = 0
+                for y0, y1, t in based:
+                    a0 = y0 + u * t
+                    a1 = s2 * y1 + v * t
+                    # Per-weight sign normalization: the leading sign comes
+                    # from the first two entries when they are not both
+                    # zero; otherwise the third entry is normalized to be
+                    # positive whatever the third diagonal sign is.
+                    lead = a0 or a1
+                    if not lead:
+                        key += (0, 0, _zigzag(abs(t)))
+                        continue
+                    sa = 1 if lead > 0 else -1
+                    # The third diagonal sign s3 moves only third-coordinate
+                    # digits, and the two keys first differ at the first
+                    # weight whose third digit it moves; the smaller key
+                    # makes that third entry positive.
+                    if not s3 and t:
+                        s3 = 1 if sa * t > 0 else -1
+                    key += (_zigzag(sa * a0), _zigzag(sa * a1), _zigzag(sa * s3 * t))
+                if best is None or key < best:
+                    best = key
+    return tuple(best)
+
+
+def _search(s: WeightedOrbitSpace, oriented: bool) -> tuple[tuple[int, ...], tuple[Weight, ...]]:
+    """The minimal start key of s and the first rotation or reversal reaching it."""
+    require_legal(s)
+    if s.rank not in (2, 3):
+        raise UnsupportedRankError(f"canonical forms implemented for ranks 2 and 3, not {s.rank}")
+    best_key = None
+    orientations = (False,) if oriented else (False, True)
+    for flip in orientations:
+        ordered = tuple(reversed(s.weights)) if flip else s.weights
+        for r in range(s.n_weights):
+            seq = ordered[r:] + ordered[:r]
+            key = _start_key(seq, s.rank)
+            if best_key is None or key < best_key:
+                best_key, best_seq = key, seq
+    return best_key, best_seq
+
+
+# e1 and e2 of Z^rank, where every canonical form starts.
+_STANDARD_PAIR = {2: ((1, 0), (0, 1)), 3: ((1, 0, 0), (0, 1, 0))}
+
+
+def canonical_form(s: WeightedOrbitSpace, oriented: bool = False) -> WeightedOrbitSpace:
+    """Minimum of the symmetry class of s, without the matrix that achieves it.
+
+    The same weights as canonicalize(s, oriented)[0], decoded from the
+    searched key; the transform, which costs a normal-form completion and
+    inverse, is never built.  Call this unless the transform is needed.
+
+    Raises:
+        IllegalOrbitSpaceError: some adjacent pair is not legal.
+        UnsupportedRankError: rank is not 2 or 3.
+    """
+    key, _ = _search(s, oriented)
+    entries = [_unzigzag(code) for code in key]
+    images = (tuple(entries[i : i + s.rank]) for i in range(0, len(entries), s.rank))
+    return WeightedOrbitSpace(s.rank, (*_STANDARD_PAIR[s.rank], *images))
 
 
 def canonicalize(
@@ -337,10 +434,11 @@ def canonicalize(
     reversal of the input weights followed by sign normalization, yields the
     canonical weights.
 
-    The search compares flat integer keys on closed-form frames.  Only the
-    first start that reaches the minimum is then based by
-    base_change_for_pair, and its first minimal move in _residual_moves
-    order gives the transform.
+    The search, shared with canonical_form, compares flat integer keys on
+    closed-form frames.  Only the first start that reaches the minimum is
+    then based by base_change_for_pair, and the 16 moves of _residual_moves
+    only rebuild the transform: the first minimal one in their order gives
+    it.  Callers that discard the transform should call canonical_form.
 
     Args:
         s: a legal orbit space of rank 2 or 3.
@@ -353,21 +451,10 @@ def canonicalize(
         VerificationError: the search and the transform disagree (an
             implementation fault).
     """
-    require_legal(s)
-    if s.rank not in (2, 3):
-        raise UnsupportedRankError(f"canonical forms implemented for ranks 2 and 3, not {s.rank}")
-    best_key = None
-    orientations = (False,) if oriented else (False, True)
-    for flip in orientations:
-        ordered = tuple(reversed(s.weights)) if flip else s.weights
-        for r in range(s.n_weights):
-            seq = ordered[r:] + ordered[:r]
-            key = _start_key(seq, s.rank)
-            if best_key is None or key < best_key:
-                best_key, best_seq = key, seq
+    best_key, best_seq = _search(s, oriented)
     a0 = base_change_for_pair(best_seq[0], best_seq[1])
     based = [a0.apply(w) for w in best_seq[2:]]
-    e1, e2 = (tuple(int(i == j) for i in range(s.rank)) for j in (0, 1))
+    e1, e2 = _STANDARD_PAIR[s.rank]
     for images, b in _residual_moves(based, s.rank):
         if _flat_key(images) == best_key:
             # The constructor sign-normalizes the images.
@@ -385,6 +472,6 @@ def are_equivalent(
     """
     if s1.rank != s2.rank:
         raise RankMismatchError(f"rank {s1.rank} vs rank {s2.rank}")
-    c1, _ = canonicalize(s1, oriented=oriented)
-    c2, _ = canonicalize(s2, oriented=oriented)
+    c1 = canonical_form(s1, oriented=oriented)
+    c2 = canonical_form(s2, oriented=oriented)
     return c1.weights == c2.weights

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: random symmetry moves, seed spaces, the
-reference canonicalization, the reference stabilizer route and the reference
-rank-3 census enumeration."""
+reference canonicalization and start key, the reference stabilizer route and
+the reference rank-3 census enumeration."""
 
 from itertools import product
 from math import gcd
@@ -29,6 +29,9 @@ from torusorbits.lattice import (
 )
 from torusorbits.orbit_space import (
     WeightedOrbitSpace,
+    _flat_key,
+    _frame,
+    _residual_moves,
     base_change_for_pair,
     is_legal,
     normalize_weight,
@@ -174,6 +177,22 @@ def reference_canonicalize(s, oriented=False):
     assert best_weights is not None and best_move is not None
     b, a0 = best_move
     return WeightedOrbitSpace(s.rank, best_weights), IntMatrix(b) @ a0
+
+
+def based_weights(seq):
+    """Weights 3..n of seq in the closed-form frame sending seq[0], seq[1] to
+    e1, e2."""
+    frame = _frame(seq[0], seq[1])
+    return [tuple(sum(f * e for f, e in zip(row, w)) for row in frame) for w in seq[2:]]
+
+
+def reference_start_key(seq, rank):
+    """The start key as orbit_space._start_key computed it before its rank-3
+    candidate loop: the minimum flat key over all 16 residual moves, third
+    sign included."""
+    return min(
+        _flat_key(images) for images, _ in _residual_moves(based_weights(seq), rank)
+    )
 
 
 # --- reference stabilizer route

@@ -14,7 +14,10 @@ import sys
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusorbits.census as census
 from torusorbits.census import (
@@ -44,14 +47,26 @@ from torusorbits.errors import (
 from torusorbits.lattice import cyclic_group
 from torusorbits.orbit_space import (
     WeightedOrbitSpace,
+    _residual_moves,
+    _start_key,
+    _unzigzag,
+    _zigzag,
     are_equivalent,
-    canonicalize,
+    canonical_form,
+    entry_key,
     is_legal,
+    pair_is_legal,
     pi1_bound,
     sequence_key,
 )
 
-from support import random_symmetry_move, reference_rank3_classes
+from support import (
+    based_weights,
+    random_symmetry_move,
+    random_unimodular_rows,
+    reference_rank3_classes,
+    reference_start_key,
+)
 
 
 def box_primitives(rank, bound):
@@ -65,7 +80,8 @@ def box_primitives(rank, bound):
 
 
 def reference_classes(rank, bound):
-    """Brute-force census: every tuple, filtered and canonicalized exactly."""
+    """Brute-force census: every tuple, filtered and put in canonical form
+    by the scalar search, which shares no code with the packed kernel."""
     weights = box_primitives(rank, bound)
     n = len(weights)
     classes = set()
@@ -76,7 +92,7 @@ def reference_classes(rank, bound):
             continue
         if not pi1_bound(space).is_trivial:
             continue
-        classes.add(canonicalize(space)[0].weights)
+        classes.add(canonical_form(space).weights)
     return sorted(classes, key=sequence_key)
 
 
@@ -176,6 +192,55 @@ def test_packed_key_limit_is_a_domain_error(monkeypatch):
     with pytest.raises(PackedKeyLimitError):
         _rank3_classes(2)
     assert issubclass(PackedKeyLimitError, TorusOrbitsError)
+
+
+def test_zigzag_codes_entry_key_order_on_ints_and_arrays():
+    entries = sorted(range(-600, 601), key=entry_key)
+    assert [_zigzag(e) for e in entries] == list(range(len(entries)))
+    assert [_unzigzag(_zigzag(e)) for e in entries] == entries
+    array = np.array(entries, dtype=np.int32)
+    assert _zigzag(array).tolist() == list(range(len(entries)))
+    assert _unzigzag(np.arange(len(entries), dtype=np.int64)).tolist() == entries
+
+
+def _packed(key):
+    return sum(code * census._PACK_BASE ** (len(key) - 1 - p) for p, code in enumerate(key))
+
+
+def _legal_positioned_cycle(rng, scale):
+    while True:
+        x3, x4 = (tuple(rng.randint(-scale, scale) for _ in range(3)) for _ in range(2))
+        cycle = ((1, 0, 0), (0, 1, 0), x3, x4)
+        if all(pair_is_legal(cycle[i], cycle[(i + 1) % 4]) for i in range(4)):
+            return cycle
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 10, 499]), st.integers(0, 2**32 - 1))
+def test_scalar_start_key_matches_the_packed_kernel(scale, seed):
+    # A legal cycle (e1, e2, x3, x4) with entries up to scale, moved by a
+    # random unimodular matrix: its based entries, frame for frame, are the
+    # entries of x3 and x4 up to a shear fixing e1 and e2.  The cycle is
+    # drawn by rejection, so a seeded generator drives it.
+    rng = random.Random(seed)
+    cycle = _legal_positioned_cycle(rng, scale)
+    move = random_unimodular_rows(rng, 3)
+    seq = tuple(tuple(sum(m * e for m, e in zip(row, w)) for row in move) for w in cycle)
+    scalar = _start_key(seq, 3)
+    assert scalar == reference_start_key(seq, 3)
+    x1, x2, x3, x4 = (np.array(w, dtype=np.int64) for w in seq)
+    # The two frames share their third row and differ by a shear, so both
+    # sides try the same candidate images.
+    largest = max(
+        abs(e) for images, _ in _residual_moves(based_weights(seq), 3) for w in images for e in w
+    )
+    if largest >= census._ENTRY_LIMIT:
+        # Past the limit only the packed side gives up; the scalar key above
+        # still answered.
+        with pytest.raises(PackedKeyLimitError):
+            census._start_keys(x1, x2[None, :], x3, x4)
+    else:
+        assert census._start_keys(x1, x2[None, :], x3, x4).tolist() == [_packed(scalar)]
 
 
 def test_out_of_domain_box_fails_before_the_determinant_table():

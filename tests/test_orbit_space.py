@@ -17,7 +17,9 @@ from torusorbits.errors import (
 from torusorbits.lattice import AbelianGroup, IntMatrix, smith_normal_form
 from torusorbits.orbit_space import (
     WeightedOrbitSpace,
+    _start_key,
     are_equivalent,
+    canonical_form,
     canonicalize,
     entry_key,
     is_legal,
@@ -33,6 +35,7 @@ from support import (
     random_legal_space,
     random_symmetry_move,
     reference_canonicalize,
+    reference_start_key,
     space,
 )
 
@@ -247,6 +250,62 @@ def test_canonicalize_matches_reference(rank_box, n_weights, rng):
             ref, ref_transform = reference_canonicalize(presentation, oriented=oriented)
             assert canon.weights == ref.weights
             assert transform.entries == ref_transform.entries
+
+
+def _starts(s):
+    for ordered in (s.weights, tuple(reversed(s.weights))):
+        for r in range(len(ordered)):
+            yield ordered[r:] + ordered[:r]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(2, 4), (3, 1), (3, 2), (3, 3), (3, 5)]),
+    st.integers(3, 5),
+    st.randoms(use_true_random=False),
+)
+def test_start_key_matches_16_move_reference(rank_box, n_weights, rng):
+    # The 8-candidate key with the third sign resolved in closed form equals
+    # the minimum over all 16 residual moves, on every start.
+    rank, box = rank_box
+    s = random_legal_cycle(rng, rank, n_weights, box)
+    for presentation in (s, random_symmetry_move(rng, s)):
+        for seq in _starts(presentation):
+            assert _start_key(seq, rank) == reference_start_key(seq, rank)
+
+
+def _raised(function, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        function(*args, **kwargs)
+    return type(info.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(2, 4), (3, 2)]),
+    st.integers(3, 5),
+    st.randoms(use_true_random=False),
+)
+def test_canonical_form_matches_canonicalize(rank_box, n_weights, rng):
+    rank, box = rank_box
+    s = random_legal_cycle(rng, rank, n_weights, box)
+    for presentation in (s, random_symmetry_move(rng, s)):
+        for oriented in (False, True):
+            form = canonical_form(presentation, oriented=oriented)
+            assert form.weights == canonicalize(presentation, oriented=oriented)[0].weights
+    # A repeated adjacent weight is illegal.  Padded with zeros and closed
+    # by the missing unit vectors, s gives a legal rank-4 space.
+    illegal = WeightedOrbitSpace(rank, (s.weights[0], *s.weights))
+    padded = WeightedOrbitSpace(
+        4,
+        tuple(w + (0,) * (4 - rank) for w in s.weights)
+        + tuple(tuple(int(i == j) for i in range(4)) for j in range(rank, 4)),
+    )
+    for bad in (illegal, padded):
+        for oriented in (False, True):
+            raised = _raised(canonical_form, bad, oriented=oriented)
+            assert raised is _raised(canonicalize, bad, oriented=oriented)
+            assert raised is (IllegalOrbitSpaceError if bad is illegal else UnsupportedRankError)
 
 
 def test_oriented_canonicalize_refines():
