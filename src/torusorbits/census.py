@@ -13,22 +13,24 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 import numpy as np
 
 from .biquotient import T2ActionParams, realize_dim4, realize_dim5
 from .classify import Dim5Params, ManifoldType, circle_quotient_type, classify_dim4
 from .errors import PackedKeyLimitError, UnsupportedRankError, VerificationError
+from .lattice import AbelianGroup
 from .orbit_space import (
     Weight,
     WeightedOrbitSpace,
+    _cross,
     _unzigzag,
     _zigzag,
     canonical_form,
     pair_is_legal,
-    pi1_bound,
     sequence_key,
     weight_key,
 )
@@ -137,10 +139,10 @@ def _zigzag_codes(values: np.ndarray) -> np.ndarray:
 def _candidate_min_keys(y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
     """Minimal packed key over the residual moves fixing the based pair.
 
-    Mirrors orbit_space._start_key line for line, over a batch of based
-    pairs; the candidate image set only depends on the pair being mapped to
-    the standard basis, not on which completion produced the based
-    coordinates.
+    Mirrors the 8 moves and block rule of orbit_space._least line for line,
+    over a batch of based pairs, with no unit rule or early exit, which keep
+    the minimum; the candidate image set only depends on the pair being
+    mapped to the standard basis, not on the completion that based it.
     """
     pivot = np.where((y2[:, 2] != 0)[:, None], y2, y3)
     p0, p1, p2 = pivot[:, 0], pivot[:, 1], pivot[:, 2]
@@ -382,10 +384,15 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
 
 def _build_row(rank: int, canon: tuple[Weight, ...]) -> CensusRow:
     space = WeightedOrbitSpace(rank, canon)
-    group = pi1_bound(space)
-    if not group.is_trivial:
+    # The fundamental group bound Z^rank / span is trivial exactly when the
+    # gcd of the maximal minors of the weights is 1.
+    if rank == 2:
+        minors = [x[0] * y[1] - x[1] * y[0] for x, y in combinations(canon, 2)]
+    else:
+        minors = [sum(map(mul, _cross(x, y), z)) for x, y, z in combinations(canon, 3)]
+    if gcd(*minors) != 1:
         raise VerificationError(
-            f"census class {canon} has fundamental group bound {group}, expected trivial"
+            f"census class {canon} spans a sublattice of index {gcd(*minors)} in Z^{rank}"
         )
     if rank == 2:
         mtype = classify_dim4(space)
@@ -400,7 +407,7 @@ def _build_row(rank: int, canon: tuple[Weight, ...]) -> CensusRow:
     return CensusRow(
         weights=canon,
         manifold_type=mtype,
-        pi1=str(group),
+        pi1=str(AbelianGroup(0)),
         realization=realization,
         verified=True,
     )

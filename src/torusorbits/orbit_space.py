@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -240,19 +241,13 @@ def base_change_for_pair(x1: Sequence[int], x2: Sequence[int]) -> IntMatrix:
     return invert_unimodular(basis.transpose())
 
 
-def _nearest_shears(lead: int, third: int) -> tuple[int, ...]:
-    # Integer u minimizing |lead + u*third| is a floor or ceiling; return both.
-    base = (-lead) // third
-    return (base, base + 1)
-
-
 def _residual_moves(
     based: Sequence[Weight], rank: int
 ) -> Iterator[tuple[list[Weight], tuple[Weight, ...]]]:
     """Residual moves fixing e1, e2 up to sign, each with the images of based.
 
     canonicalize walks them only to rebuild the transform of the winning
-    start; the search itself keys each start with _start_key.  The images
+    start; the search keys its moves with _least instead.  The images
     are not sign-normalized.  For rank 2 the moves are the diagonal sign
     matrices.  For rank 3 they are upper-triangular with signs on the
     diagonal and shears u, v feeding the third coordinate into the first
@@ -275,8 +270,9 @@ def _residual_moves(
             us: tuple[int, ...] = (0,)
             vs: tuple[int, ...] = (0,)
         else:
-            us = _nearest_shears(pivot[0], pivot[2])
-            vs = _nearest_shears(s2 * pivot[1], pivot[2])
+            # The u minimizing |p0 + u*p2| is a floor or ceiling; try both.
+            u0, v0 = (-pivot[0]) // pivot[2], (-s2 * pivot[1]) // pivot[2]
+            us, vs = (u0, u0 + 1), (v0, v0 + 1)
         for u in us:
             for v in vs:
                 yield (
@@ -301,6 +297,10 @@ def _flat_key(images: Iterable[Weight]) -> tuple[int, ...]:
     return tuple(_zigzag(e) for w in images for e in _signed(w))
 
 
+def _cross(x: Sequence[int], y: Sequence[int]) -> Weight:
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
 def _frame(x: Sequence[int], y: Sequence[int]) -> tuple[Weight, ...]:
     """Rows of a unimodular F with F x == e1 and F y == e2, for a legal pair.
 
@@ -314,92 +314,112 @@ def _frame(x: Sequence[int], y: Sequence[int]) -> tuple[Weight, ...]:
     if len(x) == 2:
         d = x[0] * y[1] - x[1] * y[0]
         return ((d * y[1], -d * y[0]), (-d * x[1], d * x[0]))
-    c = (
-        x[1] * y[2] - x[2] * y[1],
-        x[2] * y[0] - x[0] * y[2],
-        x[0] * y[1] - x[1] * y[0],
-    )
+    c = _cross(x, y)
     g01, s01, t01 = gcd_ext(c[0], c[1])
     _, s2, t2 = gcd_ext(g01, c[2])
     z = (s2 * s01, s2 * t01, t2)
-    return (
-        (y[1] * z[2] - y[2] * z[1], y[2] * z[0] - y[0] * z[2], y[0] * z[1] - y[1] * z[0]),
-        (z[1] * x[2] - z[2] * x[1], z[2] * x[0] - z[0] * x[2], z[0] * x[1] - z[1] * x[0]),
-        c,
-    )
+    return (_cross(y, z), _cross(z, x), c)
+
+
+def _base(frame: tuple[Weight, ...], weights: Iterable[Weight]) -> list[Weight]:
+    """Images (y0, y1, t) of weights under a frame; t = 0 at rank 2: no shear."""
+    r0, r1, r2 = frame if len(frame) == 3 else (*frame, ())
+    return [(sum(map(mul, r0, w)), sum(map(mul, r1, w)), sum(map(mul, r2, w))) for w in weights]
+
+
+def _least(pairs: list, rank: int) -> tuple[tuple[int, ...], object]:
+    """Least key over the moves (s2, u, v) of (based, start) pairs, and the
+    start of the first pair reaching it; keys grow one weight block at a
+    time, and a move is dropped once its block exceeds the least.  The 8
+    moves are the second sign and the shears nearest to zeroing the pivot's
+    first two entries; the first sign is fixed, the third resolved per
+    weight.  A unit start (first |t| == 1) keeps the 2 giving its first
+    block (0, 0, 1), which no other move reaches.  The scalar twin of
+    census._candidate_min_keys.
+    """
+    live = []
+    for based, start in pairs:
+        pivot = next((w for w in based if w[2]), None)
+        p0, p1, p2 = pivot or (0, 0, 1)
+        u0, v0_pos, v0_neg = (-p0) // p2, (-p1) // p2, p1 // p2
+        unit = pivot is None or abs(based[0][2]) == 1
+        steps = [(0, 0)] if unit else [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for s2, v0 in ((1, v0_pos), (-1, v0_neg)):
+            live += [[based, s2, u0 + du, v0 + dv, 0, start] for du, dv in steps]
+    key: list[int] = []
+    for k in range(len(live[0][0])):
+        best = None
+        for entry in live:
+            _, s2, u, v, s3, _ = entry
+            y0, y1, t = entry[0][k]
+            a0 = y0 + u * t
+            a1 = s2 * y1 + v * t
+            lead = a0 or a1  # sign normalization; else the third entry is made positive
+            if not lead:
+                block = (0, 0, _zigzag(abs(t)))
+            else:
+                sa = 1 if lead > 0 else -1
+                if not s3 and t:  # s3's smaller key makes the first third digit it moves > 0
+                    s3 = entry[4] = 1 if sa * t > 0 else -1
+                block = (_zigzag(sa * a0), _zigzag(sa * a1), _zigzag(sa * s3 * t))
+            if best is None or block < best:
+                best, kept = block, [entry]
+            elif block == best:
+                kept.append(entry)
+        live = kept
+        key += best[:rank]
+    return tuple(key), live[0][5]
 
 
 def _start_key(seq: tuple[Weight, ...], rank: int) -> tuple[int, ...]:
     """Minimal _flat_key of one start (seq[0], seq[1] sent to e1, e2).
 
     The based e1 and e2 normalize to themselves under every residual move,
-    so only weights 3..n enter the key.  Rank 2 takes the minimum over the
-    two moves of _residual_moves.  Rank 3 is the scalar twin of
-    census._candidate_min_keys, line for line: the first sign is fixed, the
-    8 candidates are the second sign and the two nearest shears u, v for
-    the pivot, and the third sign is resolved without enumerating it.
+    so only weights 3..n enter the key.  At rank 3 it begins with the block
+    (0, 0, 1) exactly when |det(seq[0], seq[1], seq[2])| == 1.
     """
-    frame = _frame(seq[0], seq[1])
-    if rank == 2:
-        based = [tuple(sum(f * e for f, e in zip(row, w)) for row in frame) for w in seq[2:]]
-        return min(_flat_key(images) for images, _ in _residual_moves(based, rank))
-    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = frame
-    based = [
-        (f00 * x + f01 * y + f02 * z, f10 * x + f11 * y + f12 * z, f20 * x + f21 * y + f22 * z)
-        for x, y, z in seq[2:]
-    ]
-    pivot = next((w for w in based if w[2] != 0), None)
-    if pivot is None:
-        u0 = v0_pos = v0_neg = 0
-    else:
-        p0, p1, p2 = pivot
-        u0, v0_pos, v0_neg = (-p0) // p2, (-p1) // p2, p1 // p2
-    best = None
-    for s2 in (1, -1):
-        v0 = v0_pos if s2 > 0 else v0_neg
-        for u in (u0, u0 + 1):
-            for v in (v0, v0 + 1):
-                key: list[int] = []
-                s3 = 0
-                for y0, y1, t in based:
-                    a0 = y0 + u * t
-                    a1 = s2 * y1 + v * t
-                    # Per-weight sign normalization: the leading sign comes
-                    # from the first two entries when they are not both
-                    # zero; otherwise the third entry is normalized to be
-                    # positive whatever the third diagonal sign is.
-                    lead = a0 or a1
-                    if not lead:
-                        key += (0, 0, _zigzag(abs(t)))
-                        continue
-                    sa = 1 if lead > 0 else -1
-                    # The third diagonal sign s3 moves only third-coordinate
-                    # digits, and the two keys first differ at the first
-                    # weight whose third digit it moves; the smaller key
-                    # makes that third entry positive.
-                    if not s3 and t:
-                        s3 = 1 if sa * t > 0 else -1
-                    key += (_zigzag(sa * a0), _zigzag(sa * a1), _zigzag(sa * s3 * t))
-                if best is None or key < best:
-                    best = key
-    return tuple(best)
+    return _least([(_base(_frame(seq[0], seq[1]), seq[2:]), None)], rank)[0]
 
 
 def _search(s: WeightedOrbitSpace, oriented: bool) -> tuple[tuple[int, ...], tuple[Weight, ...]]:
-    """The minimal start key of s and the first rotation or reversal reaching it."""
-    require_legal(s)
+    """The minimal start key of s and the first rotation or reversal reaching it.
+
+    One _least pass runs over the rotations of s, then of its reversal.  Each
+    adjacent pair is framed once: the reversed start at (y, x) takes the frame
+    of (x, y) with rows 1, 2 swapped.  At rank 3, with t = det(x1, x2, x3) read
+    off the pair's cross product c, when some start is a unit start (|t| == 1)
+    no other start is framed, and t * x3 is a Bezout vector of c.
+    """
+    ws, n = s.weights, s.n_weights
+    # At rank 3 a pair is legal exactly when its cross product is primitive.
+    cross = [_cross(ws[j], ws[(j + 1) % n]) for j in range(n)] if s.rank == 3 else []
+    if not cross or any(gcd(*c) != 1 for c in cross):
+        require_legal(s)
     if s.rank not in (2, 3):
         raise UnsupportedRankError(f"canonical forms implemented for ranks 2 and 3, not {s.rank}")
-    best_key = None
-    orientations = (False,) if oriented else (False, True)
-    for flip in orientations:
-        ordered = tuple(reversed(s.weights)) if flip else s.weights
-        for r in range(s.n_weights):
-            seq = ordered[r:] + ordered[:r]
-            key = _start_key(seq, s.rank)
-            if best_key is None or key < best_key:
-                best_key, best_seq = key, seq
-    return best_key, best_seq
+    # Start (a, d, j) reads ws[a], ws[a + d], ... cyclically; its first two
+    # weights are the pair ws[j], ws[j + 1], swapped when d == -1.
+    starts = [(a, 1, a) for a in range(n)]
+    if not oriented:
+        starts += [((-1 - r) % n, -1, (-2 - r) % n) for r in range(n)]
+    units, bezout = [], {}
+    for a, d, j in starts if cross else ():
+        x3 = ws[(a + 2 * d) % n]
+        t = sum(map(mul, cross[j], x3))
+        if t in (1, -1):
+            units.append((a, d, j))
+            bezout[j] = tuple(t * e for e in x3)
+    images: dict[int, list[Weight]] = {}
+    pairs = []
+    for a, d, j in units or starts:
+        if j not in images:
+            x, y, z = ws[j], ws[(j + 1) % n], bezout.get(j)
+            frame = (_cross(y, z), _cross(z, x), cross[j]) if z else _frame(x, y)
+            images[j] = _base(frame, [ws[(j + m) % n] for m in range(2, n)])
+        based = images[j] if d > 0 else [(y1, y0, t) for y0, y1, t in reversed(images[j])]
+        pairs.append((based, (a, d)))
+    key, (a, d) = _least(pairs, s.rank)
+    return key, tuple(ws[(a + d * m) % n] for m in range(n))
 
 
 # e1 and e2 of Z^rank, where every canonical form starts.
@@ -409,9 +429,10 @@ _STANDARD_PAIR = {2: ((1, 0), (0, 1)), 3: ((1, 0, 0), (0, 1, 0))}
 def canonical_form(s: WeightedOrbitSpace, oriented: bool = False) -> WeightedOrbitSpace:
     """Minimum of the symmetry class of s, without the matrix that achieves it.
 
-    The same weights as canonicalize(s, oriented)[0], decoded from the
-    searched key; the transform, which costs a normal-form completion and
-    inverse, is never built.  Call this unless the transform is needed.
+    The same weights as canonicalize(s, oriented)[0], decoded from the key of
+    _search (one frame per adjacent pair, unit starts only when there are
+    any); the transform, a normal-form completion and inverse, is never
+    built.  Call this unless the transform is needed.
 
     Raises:
         IllegalOrbitSpaceError: some adjacent pair is not legal.
@@ -434,11 +455,13 @@ def canonicalize(
     reversal of the input weights followed by sign normalization, yields the
     canonical weights.
 
-    The search, shared with canonical_form, compares flat integer keys on
-    closed-form frames.  Only the first start that reaches the minimum is
-    then based by base_change_for_pair, and the 16 moves of _residual_moves
-    only rebuild the transform: the first minimal one in their order gives
-    it.  Callers that discard the transform should call canonical_form.
+    The search, shared with canonical_form, compares flat integer keys block
+    by block on closed-form frames, one per adjacent pair, and only of unit
+    starts (|det(x1, x2, x3)| == 1) when there are any.  Only the first start
+    reaching the minimum is then based by base_change_for_pair, and the 16
+    moves of _residual_moves only rebuild the transform: the first minimal
+    one in their order gives it.  Callers that discard the transform should
+    call canonical_form.
 
     Args:
         s: a legal orbit space of rank 2 or 3.

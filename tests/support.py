@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: random symmetry moves, seed spaces, the
-reference canonicalization and start key, the reference stabilizer route and
-the reference rank-3 census enumeration."""
+reference canonicalization, start key and search, the reference stabilizer
+route and the reference rank-3 census enumeration."""
 
 from itertools import product
 from math import gcd
@@ -32,10 +32,12 @@ from torusorbits.orbit_space import (
     _flat_key,
     _frame,
     _residual_moves,
+    _start_key,
     base_change_for_pair,
     is_legal,
     normalize_weight,
     pair_is_legal,
+    require_legal,
     sequence_key,
 )
 
@@ -193,6 +195,25 @@ def reference_start_key(seq, rank):
     return min(
         _flat_key(images) for images, _ in _residual_moves(based_weights(seq), rank)
     )
+
+
+def reference_search(s, oriented):
+    """orbit_space._search as it was before the single pass: every start,
+    each framed on its own, keyed by _start_key over all its moves, and the
+    first minimal start kept."""
+    require_legal(s)
+    if s.rank not in (2, 3):
+        raise UnsupportedRankError(f"canonical forms implemented for ranks 2 and 3, not {s.rank}")
+    best_key = None
+    orientations = (False,) if oriented else (False, True)
+    for flip in orientations:
+        ordered = tuple(reversed(s.weights)) if flip else s.weights
+        for r in range(s.n_weights):
+            seq = ordered[r:] + ordered[:r]
+            key = _start_key(seq, s.rank)
+            if best_key is None or key < best_key:
+                best_key, best_seq = key, seq
+    return best_key, best_seq
 
 
 # --- reference stabilizer route

@@ -131,10 +131,24 @@ def test_rank3_dual_route():
     assert _rank3_classes(1) == reference_classes(3, 1)
 
 
-def test_pi1_column_comes_from_the_computed_group(monkeypatch):
-    monkeypatch.setattr(census, "pi1_bound", lambda space: cyclic_group(2))
-    with pytest.raises(VerificationError):
-        run_census(2, 1)
+def test_census_row_refuses_weights_that_do_not_span():
+    # The row check is the gcd of the maximal minors: 1 exactly when the
+    # weights span Z^rank, so the pi1 column is the trivial pi1_bound.
+    for rank in (2, 3):
+        for row in run_census(rank, 1):
+            assert row.pi1 == str(pi1_bound(WeightedOrbitSpace(rank, row.weights))) == "1"
+    index_2 = (
+        (2, ((1, 0), (1, 2), (1, 0), (1, 2))),
+        (3, ((1, 0, 0), (0, 1, 0), (1, 0, 2), (0, 1, 2))),
+    )
+    not_spanning = (
+        (2, ((1, 0), (2, 0), (1, 0), (3, 0))),
+        (3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0))),
+    )
+    for rank, weights in index_2 + not_spanning:
+        assert pi1_bound(WeightedOrbitSpace(rank, weights)) != cyclic_group(1)
+        with pytest.raises(VerificationError, match="spans a sublattice"):
+            census._build_row(rank, weights)
 
 
 def test_rank2_bound1_contents():

@@ -14,9 +14,10 @@ from torusorbits.errors import (
     RankTooSmallError,
     UnsupportedRankError,
 )
-from torusorbits.lattice import AbelianGroup, IntMatrix, smith_normal_form
+from torusorbits.lattice import AbelianGroup, IntMatrix, gcd_ext, smith_normal_form
 from torusorbits.orbit_space import (
     WeightedOrbitSpace,
+    _search,
     _start_key,
     are_equivalent,
     canonical_form,
@@ -35,6 +36,7 @@ from support import (
     random_legal_space,
     random_symmetry_move,
     reference_canonicalize,
+    reference_search,
     reference_start_key,
     space,
 )
@@ -272,6 +274,99 @@ def test_start_key_matches_16_move_reference(rank_box, n_weights, rng):
     for presentation in (s, random_symmetry_move(rng, s)):
         for seq in _starts(presentation):
             assert _start_key(seq, rank) == reference_start_key(seq, rank)
+
+
+def _large_legal_cycle(rng, rank, n_weights):
+    """A legal cycle with entries of a few hundred, around the packed-key
+    limit of 500.  Rank 3 draws weights up to 499 by rejection.  At rank 2,
+    where adjacent weights need determinant +-1, a unit-box cycle is moved by
+    a unimodular matrix whose first column has entries up to 499."""
+    if rank == 3:
+        while True:
+            cycle = [tuple(rng.randint(-499, 499) for _ in range(3)) for _ in range(n_weights)]
+            if all(pair_is_legal(cycle[i - 1], cycle[i]) for i in range(n_weights)):
+                return WeightedOrbitSpace(3, tuple(cycle))
+    a = rng.randint(250, 499)
+    c = rng.choice([k for k in range(-499, 500) if gcd(a, k) == 1])
+    _, d, b = gcd_ext(a, c)
+    small = random_legal_cycle(rng, 2, n_weights, 1)
+    return WeightedOrbitSpace(2, tuple((a * x - b * y, c * x + d * y) for x, y in small.weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(3, 6),
+    st.sampled_from([1, 2, 3, 4, 5, 499]),
+    st.randoms(use_true_random=False),
+)
+def test_search_matches_reference_search(rank, n_weights, box, rng):
+    # The same key and the same first minimal start as the per-start search,
+    # so canonicalize rebuilds the same transform from it.
+    if box == 499:
+        s = _large_legal_cycle(rng, rank, n_weights)
+    else:
+        s = random_legal_cycle(rng, rank, n_weights, box)
+    for presentation in (s, random_symmetry_move(rng, s)):
+        for oriented in (False, True):
+            assert _search(presentation, oriented) == reference_search(presentation, oriented)
+
+
+def _det3(seq):
+    (a, b, c), (d, e, f), (g, h, i) = seq[:3]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+@pytest.mark.parametrize(
+    "rank, weights, units, tied",
+    [
+        # No unit start: every consecutive triple has |det| >= 2.
+        (3, ((1, 0, 0), (0, 1, 0), (1, 0, 2), (0, 2, 3)), 0, 2),
+        # No pivot: every weight lies in one plane, so every det is 0.
+        (3, ((1, 0, 0), (0, 1, 0), (1, 1, 0)), 0, 6),
+        # Unit starts and starts with |det| 2 or 3; one start is minimal.
+        (3, ((1, 0, 0), (0, 1, 0), (1, 1, 2), (1, 1, 3)), 4, 1),
+        # No unit start, and the least key is at a start with |det| 3 while
+        # two starts have |det| 2: only |det| == 1 decides the first block.
+        (3, ((1, 1, 0), (1, 0, 2), (1, 1, 3), (2, -3, 3), (1, -1, 3), (2, 3, 3)), 0, 1),
+        # Every start a unit start.
+        (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), 8, 8),
+        # Symmetric cycles: many starts reach the minimal key.
+        (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 6, 6),
+        (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)) * 2, 12, 12),
+        (2, ((1, 0), (0, 1)) * 2, None, 8),
+        (2, ((1, 0), (0, 1), (1, 1), (2, 1)), None, 4),
+    ],
+)
+def test_search_forced_cases(rank, weights, units, tied):
+    rng = random.Random(4242)
+    s = WeightedOrbitSpace(rank, weights)
+    for presentation in [s] + [random_symmetry_move(rng, s) for _ in range(6)]:
+        keys = [_start_key(seq, rank) for seq in _starts(presentation)]
+        if units is not None:
+            assert sum(abs(_det3(seq)) == 1 for seq in _starts(presentation)) == units
+        # Where starts tie, the search must keep the first of them.
+        assert keys.count(min(keys)) == tied
+        for oriented in (False, True):
+            assert _search(presentation, oriented) == reference_search(presentation, oriented)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 6), st.sampled_from([1, 2, 3]), st.randoms(use_true_random=False))
+def test_unit_starts_are_the_starts_keyed_from_0_0_1(n_weights, box, rng):
+    # |det(x1, x2, x3)| == 1 exactly when a start's first block is (0, 0, 1),
+    # the least block; so when some start is a unit start, the search that
+    # frames unit starts only still finds the least key over every start.
+    s = random_legal_cycle(rng, 3, n_weights, box)
+    for presentation in (s, random_symmetry_move(rng, s)):
+        keys = []
+        for seq in _starts(presentation):
+            keys.append(_start_key(seq, 3))
+            if abs(_det3(seq)) == 1:
+                assert keys[-1][:3] == (0, 0, 1)
+            else:
+                assert keys[-1][:3] > (0, 0, 1)
+        assert _search(presentation, False)[0] == min(keys)
 
 
 def _raised(function, *args, **kwargs):
