@@ -58,13 +58,24 @@ S3TWISTS2 = ManifoldType("S3twistS2")
 
 
 def connected_sum_dim4(count: int) -> ManifoldType:
-    """Connected sum with second Betti number `count`; no finer type known."""
-    assert count >= 3
+    """Connected sum with second Betti number `count`; no finer type known.
+
+    Raises:
+        ValueError: count < 3 (fewer summands have a named type).
+    """
+    if count < 3:
+        raise ValueError(f"connected sum of {count} summands, expected at least 3")
     return ManifoldType("ConnectedSumDim4", count=count)
 
 
 def not_simply_connected(group: AbelianGroup) -> ManifoldType:
-    assert not group.is_trivial
+    """The type of a manifold with the given nontrivial fundamental group.
+
+    Raises:
+        ValueError: the group is trivial.
+    """
+    if group.is_trivial:
+        raise ValueError("a not simply connected type needs a nontrivial group")
     return ManifoldType("NotSimplyConnected", group=group)
 
 
@@ -72,6 +83,8 @@ def _dim4_type_from_canonical(weights: tuple[tuple[int, ...], ...]) -> ManifoldT
     # In a based legal four-weight sequence e1, e2, (1,b), (c,d) the adjacent
     # determinant conditions force b*c to be 0 or +-2; the two cases are the
     # sphere-bundle parity family and the twisted double respectively.
+    # Internal invariant: the only caller passes a rank-2 canonical form,
+    # which starts e1, e2 by construction.
     assert weights[0] == (1, 0) and weights[1] == (0, 1)
     (_, b), (c, _) = weights[2], weights[3]
     if b * c == 0:
@@ -262,7 +275,7 @@ def classify_dim5(s: WeightedOrbitSpace) -> ManifoldType:
     the circle_quotient_type of the circle of extract_dim5_params.  Inputs
     not already in canonical position are canonicalized first; the type is
     constant on equivalence classes.  Rank and weight count are checked
-    first, then legality by canonical_form or pi1_dim5_exact.
+    first, then legality by canonical_form or extract_dim5_params, once.
 
     Raises:
         UnsupportedRankError: rank is not 3.
@@ -284,10 +297,12 @@ def classify_dim5(s: WeightedOrbitSpace) -> ManifoldType:
             return S5
         return not_simply_connected(bound)
     positioned = s if in_canonical_position(s) else canonical_form(s)
-    pi1 = pi1_dim5_exact(positioned)
-    if not pi1.is_trivial:
-        return not_simply_connected(pi1)
-    params = extract_dim5_params(positioned)
+    try:
+        params = extract_dim5_params(positioned)
+    except GcdConditionViolatedError:
+        # The only condition legality leaves open: pi1_dim5_exact is Z/gcd(r, z).
+        (_, _, r), (_, _, z) = positioned.weights[2:]
+        return not_simply_connected(cyclic_group(gcd(r, z)))
     return circle_quotient_type(params.a, params.b, params.c, params.d)
 
 

@@ -44,6 +44,9 @@ def gcd_ext(a: int, c: int) -> tuple[int, int, int]:
         rem = s0 % step
         s0 = min(rem, rem - step, key=lambda x: (abs(x), x < 0))
     t = (g - a * s0) // c
+    # Internal invariant: moving s0 by multiples of c/g keeps it on the
+    # Bezout line, so this division is exact; the assert guards only the
+    # arithmetic just above, no input.
     assert a * s0 + c * t == g
     return (g, s0, t)
 
@@ -301,18 +304,27 @@ class AbelianGroup:
 
     The torsion orders form a divisibility chain t1 | t2 | ... with each
     ti >= 2, so equality of dataclasses is equality of groups.
+
+    Raises:
+        ValueError: the free rank is negative, some torsion order is below
+            2, or the orders do not form a divisibility chain.
     """
 
     free_rank: int
     torsion: Vector = ()
 
     def __post_init__(self) -> None:
-        assert self.free_rank >= 0
-        assert all(t >= 2 for t in self.torsion)
-        assert all(
-            self.torsion[i + 1] % self.torsion[i] == 0
+        if self.free_rank < 0:
+            raise ValueError(f"free rank {self.free_rank} is negative")
+        if any(t < 2 for t in self.torsion):
+            raise ValueError(f"torsion orders {self.torsion} must all be at least 2")
+        if any(
+            self.torsion[i + 1] % self.torsion[i]
             for i in range(len(self.torsion) - 1)
-        ), "torsion coefficients must form a divisibility chain"
+        ):
+            raise ValueError(
+                f"torsion orders {self.torsion} must form a divisibility chain"
+            )
 
     @property
     def is_trivial(self) -> bool:

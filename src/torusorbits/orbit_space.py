@@ -15,10 +15,10 @@ canonical form under the full symmetry group of the data:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     IllegalOrbitSpaceError,
@@ -241,62 +241,6 @@ def base_change_for_pair(x1: Sequence[int], x2: Sequence[int]) -> IntMatrix:
     return invert_unimodular(basis.transpose())
 
 
-def _residual_moves(
-    based: Sequence[Weight], rank: int
-) -> Iterator[tuple[list[Weight], tuple[Weight, ...]]]:
-    """Residual moves fixing e1, e2 up to sign, each with the images of based.
-
-    canonicalize walks them only to rebuild the transform of the winning
-    start; the search keys its moves with _least instead.  The images
-    are not sign-normalized.  For rank 2 the moves are the diagonal sign
-    matrices.  For rank 3 they are upper-triangular with signs on the
-    diagonal and shears u, v feeding the third coordinate into the first
-    two.  Only the shears nearest to zeroing the first affected entry
-    can yield the minimum, so the search is finite and exact.  -I is a
-    residual move and weights are sign-normalized, so the first sign is
-    fixed to +1: 2 moves at rank 2 and 16 at rank 3.  The order, signs
-    before shears and + before -, decides which of several minimal moves
-    canonicalize returns.
-    """
-    if rank == 2:
-        for s2 in (1, -1):
-            yield [(a, s2 * b) for a, b in based], ((1, 0), (0, s2))
-        return
-    # The first weight with nonzero third coordinate is the earliest sequence
-    # position the shears touch; minimize it first.
-    pivot = next((w for w in based if w[2] != 0), None)
-    for s2, s3 in product((1, -1), (1, -1)):
-        if pivot is None:
-            us: tuple[int, ...] = (0,)
-            vs: tuple[int, ...] = (0,)
-        else:
-            # The u minimizing |p0 + u*p2| is a floor or ceiling; try both.
-            u0, v0 = (-pivot[0]) // pivot[2], (-s2 * pivot[1]) // pivot[2]
-            us, vs = (u0, u0 + 1), (v0, v0 + 1)
-        for u in us:
-            for v in vs:
-                yield (
-                    [(a + u * c, s2 * b + v * c, s3 * c) for a, b, c in based],
-                    ((1, 0, u), (0, s2, v), (0, 0, s3)),
-                )
-
-
-def _signed(w: Weight) -> Weight:
-    # Images of primitive weights under a unimodular move stay primitive, so
-    # normalize_weight reduces to a sign flip.
-    lead = next(e for e in w if e)
-    return w if lead > 0 else tuple(-f for f in w)
-
-
-def _flat_key(images: Iterable[Weight]) -> tuple[int, ...]:
-    """sequence_key order of the normalized images, as one flat integer tuple.
-
-    Entries are zigzag-coded, which is entry_key order; every weight has the
-    same length, so flat tuples compare like the nested keys.
-    """
-    return tuple(_zigzag(e) for w in images for e in _signed(w))
-
-
 def _cross(x: Sequence[int], y: Sequence[int]) -> Weight:
     return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
 
@@ -327,15 +271,18 @@ def _base(frame: tuple[Weight, ...], weights: Iterable[Weight]) -> list[Weight]:
     return [(sum(map(mul, r0, w)), sum(map(mul, r1, w)), sum(map(mul, r2, w))) for w in weights]
 
 
-def _least(pairs: list, rank: int) -> tuple[tuple[int, ...], object]:
+def _least(pairs: list, rank: int) -> tuple[tuple[int, ...], list]:
     """Least key over the moves (s2, u, v) of (based, start) pairs, and the
-    start of the first pair reaching it; keys grow one weight block at a
-    time, and a move is dropped once its block exceeds the least.  The 8
-    moves are the second sign and the shears nearest to zeroing the pivot's
-    first two entries; the first sign is fixed, the third resolved per
-    weight.  A unit start (first |t| == 1) keeps the 2 giving its first
-    block (0, 0, 1), which no other move reaches.  The scalar twin of
-    census._candidate_min_keys.
+    entries [based, s2, u, v, s3, start] of the moves reaching it, in the
+    order of pairs; s3 is 0 where no weight resolved it, and then either
+    sign gives the key.  Keys grow one weight block at a time, and a move is
+    dropped once its block exceeds the least.  The 8 moves are the second
+    sign and the shears nearest to zeroing the pivot's first two entries;
+    the first sign is fixed, the third resolved per weight.  A unit start
+    (first |t| == 1) keeps the 2 giving its first block (0, 0, 1), which no
+    other move reaches.  The only residual-move rule of the library: the
+    search and canonicalize's transform both run it, and
+    census._candidate_min_keys is its numpy twin.
     """
     live = []
     for based, start in pairs:
@@ -368,11 +315,13 @@ def _least(pairs: list, rank: int) -> tuple[tuple[int, ...], object]:
                 kept.append(entry)
         live = kept
         key += best[:rank]
-    return tuple(key), live[0][5]
+    return tuple(key), live
 
 
 def _start_key(seq: tuple[Weight, ...], rank: int) -> tuple[int, ...]:
-    """Minimal _flat_key of one start (seq[0], seq[1] sent to e1, e2).
+    """Least key of one start (seq[0], seq[1] sent to e1, e2): the entries of
+    the sign-normalized images, zigzag-coded, so flat keys compare in
+    sequence_key order.
 
     The based e1 and e2 normalize to themselves under every residual move,
     so only weights 3..n enter the key.  At rank 3 it begins with the block
@@ -418,12 +367,20 @@ def _search(s: WeightedOrbitSpace, oriented: bool) -> tuple[tuple[int, ...], tup
             images[j] = _base(frame, [ws[(j + m) % n] for m in range(2, n)])
         based = images[j] if d > 0 else [(y1, y0, t) for y0, y1, t in reversed(images[j])]
         pairs.append((based, (a, d)))
-    key, (a, d) = _least(pairs, s.rank)
+    key, live = _least(pairs, s.rank)
+    a, d = live[0][5]
     return key, tuple(ws[(a + d * m) % n] for m in range(n))
 
 
 # e1 and e2 of Z^rank, where every canonical form starts.
 _STANDARD_PAIR = {2: ((1, 0), (0, 1)), 3: ((1, 0, 0), (0, 1, 0))}
+
+
+def _decoded(key: tuple[int, ...], rank: int) -> WeightedOrbitSpace:
+    """The orbit space e1, e2 followed by the weights a start key codes."""
+    entries = [_unzigzag(code) for code in key]
+    images = (tuple(entries[i : i + rank]) for i in range(0, len(entries), rank))
+    return WeightedOrbitSpace(rank, (*_STANDARD_PAIR[rank], *images))
 
 
 def canonical_form(s: WeightedOrbitSpace, oriented: bool = False) -> WeightedOrbitSpace:
@@ -438,10 +395,7 @@ def canonical_form(s: WeightedOrbitSpace, oriented: bool = False) -> WeightedOrb
         IllegalOrbitSpaceError: some adjacent pair is not legal.
         UnsupportedRankError: rank is not 2 or 3.
     """
-    key, _ = _search(s, oriented)
-    entries = [_unzigzag(code) for code in key]
-    images = (tuple(entries[i : i + s.rank]) for i in range(0, len(entries), s.rank))
-    return WeightedOrbitSpace(s.rank, (*_STANDARD_PAIR[s.rank], *images))
+    return _decoded(_search(s, oriented)[0], s.rank)
 
 
 def canonicalize(
@@ -458,10 +412,12 @@ def canonicalize(
     The search, shared with canonical_form, compares flat integer keys block
     by block on closed-form frames, one per adjacent pair, and only of unit
     starts (|det(x1, x2, x3)| == 1) when there are any.  Only the first start
-    reaching the minimum is then based by base_change_for_pair, and the 16
-    moves of _residual_moves only rebuild the transform: the first minimal
-    one in their order gives it.  Callers that discard the transform should
-    call canonical_form.
+    reaching the minimum is then based by base_change_for_pair, and _least
+    runs once more over that one start: its key must equal the searched key,
+    and of its minimal moves the first with s2 = +1, then s3 = +1 (an
+    unresolved s3 counts as +1), then the least u, then the least v gives the
+    transform.  Callers that discard the transform should call
+    canonical_form.
 
     Args:
         s: a legal orbit space of rank 2 or 3.
@@ -476,13 +432,14 @@ def canonicalize(
     """
     best_key, best_seq = _search(s, oriented)
     a0 = base_change_for_pair(best_seq[0], best_seq[1])
-    based = [a0.apply(w) for w in best_seq[2:]]
-    e1, e2 = _STANDARD_PAIR[s.rank]
-    for images, b in _residual_moves(based, s.rank):
-        if _flat_key(images) == best_key:
-            # The constructor sign-normalizes the images.
-            return WeightedOrbitSpace(s.rank, (e1, e2, *images)), IntMatrix(b) @ a0
-    raise VerificationError(f"no residual move of {based} reaches the searched key {best_key}")
+    key, live = _least([(_base(a0.entries, best_seq[2:]), None)], s.rank)
+    if key != best_key:
+        raise VerificationError(
+            f"{best_seq} based by base_change_for_pair reaches {key}, not {best_key}"
+        )
+    _, s2, u, v, s3, _ = min(live, key=lambda e: (-e[1], -(e[4] or 1), e[2], e[3]))
+    move = ((1, 0), (0, s2)) if s.rank == 2 else ((1, 0, u), (0, s2, v), (0, 0, s3 or 1))
+    return _decoded(key, s.rank), IntMatrix(move) @ a0
 
 
 def are_equivalent(

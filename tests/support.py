@@ -29,10 +29,9 @@ from torusorbits.lattice import (
 )
 from torusorbits.orbit_space import (
     WeightedOrbitSpace,
-    _flat_key,
     _frame,
-    _residual_moves,
     _start_key,
+    _zigzag,
     base_change_for_pair,
     is_legal,
     normalize_weight,
@@ -190,10 +189,11 @@ def based_weights(seq):
 
 def reference_start_key(seq, rank):
     """The start key as orbit_space._start_key computed it before its rank-3
-    candidate loop: the minimum flat key over all 16 residual moves, third
-    sign included."""
+    candidate loop: the least flat key, entries zigzag-coded, over every
+    residual candidate of reference_canonicalize, all three signs included."""
     return min(
-        _flat_key(images) for images, _ in _residual_moves(based_weights(seq), rank)
+        tuple(_zigzag(e) for w in weights for e in w)
+        for weights, _ in _residual_candidates(based_weights(seq), rank)
     )
 
 

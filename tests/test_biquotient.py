@@ -1,6 +1,8 @@
 """Tests for torus actions on the product of two 3-spheres."""
 
 import random
+import subprocess
+import sys
 from itertools import product
 from types import SimpleNamespace
 from math import gcd
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusorbits.biquotient as biquotient
+import torusorbits.orbit_space as orbit_space
 from torusorbits.biquotient import (
     ARC_SUPPORTS,
     FULL_SUPPORT,
@@ -50,6 +53,8 @@ from torusorbits.classify import (
     circle_quotient_type,
     classify_dim5,
     dim5_orbit_space,
+    in_canonical_position,
+    not_simply_connected,
 )
 from torusorbits.errors import (
     DegenerateActionError,
@@ -69,6 +74,7 @@ from torusorbits.census import _rank3_classes
 from torusorbits.lattice import (
     AbelianGroup,
     IntMatrix,
+    cyclic_group,
     determinant,
     gcd_ext,
     invariant_factors,
@@ -511,14 +517,42 @@ ILLEGAL_FIVE = space(3, (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (1, 1, 1))
 
 def test_rank3_error_order_is_shared_by_realize_and_classify():
     # Rank and weight count first, then legality by the first step that
-    # needs it: canonicalize for a moved input, pi1_dim5_exact or
-    # extract_dim5_params for a positioned one.
+    # needs it: canonical_form for a moved input, extract_dim5_params for a
+    # positioned one.
     for solver in (realize_dim5, classify_dim5):
         for target in (ILLEGAL_POSITIONED, ILLEGAL_MOVED):
             with pytest.raises(IllegalOrbitSpaceError, match="failing adjacent pairs"):
                 solver(target)
         with pytest.raises(UnsupportedWeightCountError):
             solver(ILLEGAL_FIVE)
+
+
+def test_dim5_solvers_check_adjacency_once(monkeypatch):
+    # One adjacency check per call, on positioned and moved inputs:
+    # classify_dim5 reads a nontrivial pi1 off extract_dim5_params instead of
+    # checking legality a second time in pi1_dim5_exact.
+    calls = []
+    failing_pairs = orbit_space._failing_pairs
+    monkeypatch.setattr(
+        orbit_space, "_failing_pairs", lambda s: calls.append(s) or failing_pairs(s)
+    )
+    # pi1 is Z/gcd(2, 4) = Z/2: classify_dim5 reports it, realize_dim5 refuses.
+    cyclic = space(3, (1, 0, 0), (0, 1, 0), (1, 0, 2), (1, 1, 4))
+    for positioned in (dim5_orbit_space(DIM5_EXAMPLE), cyclic):
+        moved = positioned.rotated(1)
+        assert in_canonical_position(positioned) and not in_canonical_position(moved)
+        for target in (positioned, moved):
+            calls.clear()
+            manifold_type = classify_dim5(target)
+            assert len(calls) == 1
+            calls.clear()
+            if positioned is cyclic:
+                assert manifold_type == not_simply_connected(cyclic_group(2))
+                with pytest.raises(GcdConditionViolatedError):
+                    realize_dim5(target)
+            else:
+                realize_dim5(target)
+            assert len(calls) == 1
 
 
 def test_realize_round_trip_mismatch_raises(monkeypatch):
@@ -639,6 +673,54 @@ def test_bundle_errors():
         circle_bundle_total_space(split_t2_family(1, 0), 2, 4)
     with pytest.raises(NotFreeError):
         circle_bundle_total_space(T2ActionParams(1, 1, 0, 3, 0, 1, 1, 1), 1, 0)
+
+
+# Input guards of public functions: each raises ValueError, also under
+# python -O, which strips assert statements.
+INPUT_GUARD_IMPORTS = (
+    "from torusorbits.lattice import AbelianGroup\n"
+    "from torusorbits.classify import Dim5Params, connected_sum_dim4, not_simply_connected\n"
+    "from torusorbits.biquotient import (\n"
+    "    WZ_TORUS, Z_CIRCLE, circle_arc_isotropy_orders, induced_orbit_space,\n"
+    "    project_slope_to_residual, torus_weight_matrix,\n"
+    ")\n"
+)
+INPUT_GUARDS = (
+    "AbelianGroup(-1)",
+    "AbelianGroup(0, (1,))",
+    "AbelianGroup(0, (4, 6))",
+    "connected_sum_dim4(2)",
+    "not_simply_connected(AbelianGroup(0))",
+    # The slope is the sum of the two quotiented circles.
+    "project_slope_to_residual(WZ_TORUS, ((1, 0, 0, 0), (0, 1, 0, 0)), (0, 0, 1, 1))",
+    # A rank-3 residual torus.
+    "circle_arc_isotropy_orders(induced_orbit_space("
+    "torus_weight_matrix(Dim5Params(3, 1, 2, 1, 0, 0, 1, -1)), Z_CIRCLE), (1, 0))",
+)
+
+
+@pytest.mark.parametrize("call", INPUT_GUARDS)
+def test_input_guards_raise_value_error(call):
+    namespace = {}
+    exec(INPUT_GUARD_IMPORTS, namespace)
+    with pytest.raises(ValueError):
+        eval(call, namespace)
+
+
+def test_input_guards_hold_under_optimized_python():
+    script = (
+        INPUT_GUARD_IMPORTS
+        + f"for call in {INPUT_GUARDS!r}:\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(call)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_orbifold_orders():

@@ -365,15 +365,19 @@ def test_census_byte_identity_subprocess():
 
 
 def test_optimized_interpreter_gives_the_same_verified_output():
-    # python -O strips assert statements.  The round-trip certificates and
-    # the parity cross-check are explicit checks, so the output must not
-    # change and every row must still come out verified.
+    # python -O strips assert statements.  The round-trip certificates, the
+    # parity cross-check and canonicalize's key cross-check are explicit
+    # checks, so the output must not change and every row must still come
+    # out verified.
     script = "from torusorbits.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
     workloads = (
         ["census", "--rank", "3", "--bound", "1", "--format", "json"],
         ["realize", "--rank", "3", "--weights", "(0,1,0),(1,1,1),(1,0,0),(1,2,3)",
          "--format", "json"],
         ["classify", "--rank", "3", "--weights", "(0,1,0),(1,1,1),(1,0,0),(1,2,3)",
+         "--format", "json"],
+        # Several residual moves tie here, so the transform order is used.
+        ["canon", "--rank", "3", "--weights", "(1,1,1),(1,0,-1),(1,-1,-1),(0,1,0)",
          "--format", "json"],
     )
     for argv in workloads:
@@ -390,6 +394,13 @@ def test_optimized_interpreter_gives_the_same_verified_output():
             assert len(rows) == header["count"] == 12
         if argv[0] == "classify":
             assert rows == [{"rank": 3, "type": "S3twistS2", "verb": "classify"}]
+        elif argv[0] == "canon":
+            assert rows == [{
+                "oriented": False,
+                "transform": [[1, 0, 0], [0, 1, -1], [1, 0, 1]],
+                "verb": "canon",
+                "weights": [[1, 0, 0], [0, 1, 0], [1, 0, 2], [1, 1, 0]],
+            }]
         else:
             assert rows and all(row["verified"] is True for row in rows)
 

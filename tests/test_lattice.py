@@ -216,9 +216,9 @@ def test_abelian_group_order():
 
 
 def test_abelian_group_rejects_broken_chain():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AbelianGroup(0, (4, 6))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AbelianGroup(0, (1,))
 
 

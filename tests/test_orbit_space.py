@@ -254,6 +254,30 @@ def test_canonicalize_matches_reference(rank_box, n_weights, rng):
             assert transform.entries == ref_transform.entries
 
 
+@pytest.mark.parametrize(
+    "weights, oriented",
+    [
+        # Several residual moves of the winning start reach the least key,
+        # and the first of them in _least's order is not the first in the
+        # order s2, s3, u, v that fixes the transform.
+        (((0, 1, 1), (1, -1, 1), (1, 0, 0)), False),
+        (((0, 1, 1), (1, -1, 1), (1, 0, 0)), True),
+        (((0, 1, -1), (1, 0, 0), (1, -1, -1)), False),
+        (((0, 1, -1), (1, 0, 0), (1, -1, -1)), True),
+        (((1, 1, 1), (1, 0, -1), (1, -1, -1), (0, 1, 0)), False),
+        # Minimal moves with (s2, s3) = (+1, -1) and (-1, +1): s2 decides first.
+        (((0, 0, 1), (1, 0, -1), (1, 1, 1), (1, 0, 1)), False),
+        (((0, 0, 1), (1, 0, -1), (1, 1, 1), (1, 0, 1)), True),
+    ],
+)
+def test_canonicalize_transform_on_tied_moves(weights, oriented):
+    s = WeightedOrbitSpace(3, weights)
+    canon, transform = canonicalize(s, oriented=oriented)
+    ref, ref_transform = reference_canonicalize(s, oriented=oriented)
+    assert canon.weights == ref.weights
+    assert transform.entries == ref_transform.entries
+
+
 def _starts(s):
     for ordered in (s.weights, tuple(reversed(s.weights))):
         for r in range(len(ordered)):
@@ -268,7 +292,8 @@ def _starts(s):
 )
 def test_start_key_matches_16_move_reference(rank_box, n_weights, rng):
     # The 8-candidate key with the third sign resolved in closed form equals
-    # the minimum over all 16 residual moves, on every start.
+    # the minimum over every residual candidate of reference_canonicalize,
+    # all three signs included, on every start.
     rank, box = rank_box
     s = random_legal_cycle(rng, rank, n_weights, box)
     for presentation in (s, random_symmetry_move(rng, s)):
