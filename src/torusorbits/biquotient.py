@@ -46,18 +46,14 @@ from .lattice import (
     AbelianGroup,
     IntMatrix,
     gcd_ext,
-    invariant_factors,
-    invert_unimodular,
     invert_unimodular_4x4,
     kernel_basis,
     unimodular_complete,
 )
 from .orbit_space import (
     WeightedOrbitSpace,
-    _cross,
     are_equivalent,
     canonical_form,
-    normalize_weight,
 )
 
 # Coordinate indices into (alpha1, beta1, alpha2, beta2).
@@ -217,16 +213,22 @@ def subtorus_acts_freely(w: IntMatrix, h_rows: Sequence[Sequence[int]]) -> bool:
     i.e. when its h x h minors have gcd 1.  Every realizable support contains
     a vertex support, and the minors of the larger matrix include those of
     the smaller, so adding rows can only shrink that gcd: freeness at the
-    four vertex supports is freeness everywhere.  For h > 2 a vertex matrix
-    has rank at most 2, so the first vertex already fails.
+    four vertex supports is freeness everywhere.  A vertex block is 2 x h, so
+    the test is read off directly: h = 0 is free; h = 1 needs its two
+    exponents coprime; h = 2 needs |det| = 1; h > 2 exceeds the block's rank
+    and is never free.
     """
     e = [tuple(int(x) for x in row) for row in h_rows]
     if any(len(row) != 4 for row in e):
         raise ValueError("subtorus rows must have 4 entries")
+    if len(e) > 2:
+        return False
     exponents = [[sum(map(mul, w_row, row)) for row in e] for w_row in w.entries]
-    for support in VERTEX_SUPPORTS:
-        factors = invariant_factors([exponents[i] for i in sorted(support)])
-        if len(factors) != len(e) or any(f != 1 for f in factors):
+    for i, j in (sorted(support) for support in VERTEX_SUPPORTS):
+        x, y = exponents[i], exponents[j]
+        if len(e) == 1 and gcd(x[0], y[0]) != 1:
+            return False
+        if len(e) == 2 and abs(x[0] * y[1] - x[1] * y[0]) != 1:
             return False
     return True
 
@@ -270,7 +272,7 @@ def _residual_basis_of(
     if len(basis) != 4 or any(len(row) != 4 for row in basis):
         raise ValueError("complement rows do not complete the subtorus to a basis")
     try:
-        return complement, invert_unimodular(IntMatrix(basis))
+        return complement, invert_unimodular_4x4(IntMatrix(basis))
     except ValueError:
         raise ValueError(
             "complement rows do not complete the subtorus to a basis"
@@ -348,22 +350,11 @@ def _support_stabilizer(
     - the slopes are the Hermite basis of the annihilator of ker A, which is
       the saturation of the row span of A.
 
-    A Hermite basis is unique, so every route to that saturation gives the
-    same slopes: none for k = 0; for one nonzero row, that row made primitive
-    with positive leading entry; for two rows x, y of Z^3 with x ^ y != 0,
-    the kernel of x ^ y; otherwise the kernel of the kernel of A.
+    Both come from kernel_basis: the annihilator, then its annihilator.
     """
     off_support = [coords[i] for i in range(4) if i not in sup]
-    k = len(off_support)
-    if k == 0:
-        rank, slopes = 0, ()
-    elif k == 1 and any(off_support[0]):
-        rank, slopes = 1, (normalize_weight(off_support[0]),)
-    elif k == 2 and m == 3 and any(cross := _cross(*off_support)):
-        rank, slopes = 2, kernel_basis((cross,), 3)
-    else:
-        annihilator = kernel_basis(off_support, m)
-        rank, slopes = m - len(annihilator), kernel_basis(annihilator, m)
+    annihilator = kernel_basis(off_support, m)
+    rank, slopes = m - len(annihilator), kernel_basis(annihilator, m)
     group = AbelianGroup(rank, ())
     if len(slopes) != group.free_rank:
         raise StabilizerRankUnexpectedError(
@@ -766,10 +757,10 @@ def project_slope_to_residual(
     quotient torus (unreduced, so isotropy orders read off correctly).
 
     Raises:
-        ValueError: the circle lies inside the quotiented subtorus.
+        ValueError: (h_rows, c_rows) is not a 4 x 4 unimodular basis, or the
+            circle lies inside the quotiented subtorus.
     """
-    p = IntMatrix.from_rows(list(h_rows) + list(c_rows))
-    p_inv = invert_unimodular(p)
+    p_inv = invert_unimodular_4x4(IntMatrix.from_rows(list(h_rows) + list(c_rows)))
     coeffs = tuple(
         sum(slope[i] * p_inv.entries[i][j] for i in range(4)) for j in range(4)
     )

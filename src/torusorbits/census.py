@@ -208,7 +208,9 @@ def _frames(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     a Bezout vector z with c . z == 1 completes (x, y) to a basis, and is
     first moved by the nearest lattice point of span(x, y) so that F stays
     small.  The rows of the inverse of [x y z] are y ^ z, z ^ x and c.  The
-    vectorized twin of orbit_space._frame, which the scalar search bases with.
+    vectorized twin of orbit_space._frame on the Bezout vector; moving z by
+    span(x, y) changes the frame by a residual shear only, so both give the
+    same keys.
     """
     c = np.cross(x, y)
     g01, s01, t01 = _ext_gcd(c[:, 0], c[:, 1])
@@ -302,28 +304,25 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
     cycle with x1 fixed swaps x2 and x4.  Only cycles with x1 a
     representative, no type below x1's, and x4 not before x2 are keyed.
     """
-    # The box holds (b,1,0), (0,b,1) and (1,0,b), whose determinant is
-    # b^3 + 1, so a large box is refused before anything is enumerated.
-    if bound**3 + 1 >= _ENTRY_LIMIT:
+    # The third based coordinates are the triple determinants
+    # det(w_i, w_j, w_k) = cross[i, j] . w[k], so they bound the packed
+    # digits from below.  By Hadamard's bound a 3x3 determinant with entries
+    # in [-b, b] is at most 4 b^3 (the determinant is multilinear, so its
+    # extremes sit at the +-b vertices, and the largest 3x3 +-1 determinant
+    # is 4).  That is below the limit exactly for b <= 4, so every larger
+    # box is refused before anything is enumerated; the rest is checked
+    # where it is packed.  At b = 5 the largest determinant of primitive
+    # weights is 486, but keys of its classes still overflow a digit.
+    if 4 * bound**3 >= _ENTRY_LIMIT:
+        beyond = "canonical-key entries" if bound == 5 else "determinants"
         raise PackedKeyLimitError(
-            f"entry bound {bound} gives determinants beyond the packed-key limit"
+            f"entry bound {bound} gives {beyond} beyond the packed-key limit"
         )
     weights = primitive_weights(3, bound)
     if not weights:
         return []
     w = np.array(weights, dtype=np.int64)
     cross = np.cross(w[:, None, :], w[None, :, :])
-    # The third based coordinates are the triple determinants
-    # det(w_i, w_j, w_k) = cross[i, j] . w[k], so they bound the packed
-    # digits from below; the rest is checked where it is packed.  No n^3
-    # table of them is built: this check takes one n x n slab at a time, so
-    # an out-of-domain box fails before much is allocated, and the loop
-    # below computes only the determinants it reads.
-    for slab in cross:
-        if np.abs(slab @ w.T).max() >= _ENTRY_LIMIT:
-            raise PackedKeyLimitError(
-                f"entry bound {bound} gives determinants beyond the packed-key limit"
-            )
     legal = np.gcd.reduce(np.abs(cross), axis=2) == 1
     types = np.array(_signed_permutation_types(weights))
     chunks: list[np.ndarray] = []

@@ -8,7 +8,7 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -38,11 +38,11 @@ def gcd_ext(a: int, c: int) -> tuple[int, int, int]:
         g, s0 = -g, -s0
     if c == 0:
         return (g, s0, 0)
-    # Valid s values form s0 + (c/g)Z; pick the smallest by (|s|, s < 0).
+    # Valid s values form s0 + (c/g)Z; pick the smallest by (|s|, s < 0):
+    # rem - step is smaller only when it is strictly nearer to zero.
     step = abs(c // g)
-    if step:
-        rem = s0 % step
-        s0 = min(rem, rem - step, key=lambda x: (abs(x), x < 0))
+    rem = s0 % step
+    s0 = rem - step if 2 * rem > step else rem
     t = (g - a * s0) // c
     # Internal invariant: moving s0 by multiples of c/g keeps it on the
     # Bezout line, so this division is exact; the assert guards only the
@@ -164,42 +164,38 @@ class SmithDecomposition:
         return len(self.invariant_factors)
 
 
-def _diagonalize(
-    a: list[list[int]], u: list[list[int]] | None, v: list[list[int]] | None
-) -> None:
-    """Bring a to Smith form in place, mirroring each operation on u and v.
+def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with tracked unimodular row/column operations.
 
-    u (row operations) and v (column operations) may be None when only the
-    diagonal is wanted; the operations on a are the same either way.
+    Pivot rule: the entry of minimal absolute value in the trailing
+    submatrix, ties broken row-major, making the decomposition deterministic.
+
+    Returns:
+        SmithDecomposition(U, D, V) with U @ m @ V == D, all diagonal entries
+        of D nonnegative and each dividing the next.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
+    a = m.to_lists()
+    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    v = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
+    nrows, ncols = m.rows, m.cols
 
     def swap_rows(i: int, j: int) -> None:
         if i != j:
             a[i], a[j] = a[j], a[i]
-            if u is not None:
-                u[i], u[j] = u[j], u[i]
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i: int, j: int) -> None:
         if i != j:
-            for row in a:
+            for row in a + v:
                 row[i], row[j] = row[j], row[i]
-            if v is not None:
-                for row in v:
-                    row[i], row[j] = row[j], row[i]
 
     def add_row(dst: int, src: int, f: int) -> None:
         a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        if u is not None:
-            u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
+        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst: int, src: int, f: int) -> None:
-        for row in a:
+        for row in a + v:
             row[dst] += f * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += f * row[src]
 
     limit = min(nrows, ncols)
     for t in range(limit):
@@ -254,44 +250,8 @@ def _diagonalize(
     for t in range(limit):
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
-
-
-def _identity_lists(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with tracked unimodular row/column operations.
-
-    Pivot rule: the entry of minimal absolute value in the trailing
-    submatrix, ties broken row-major, making the decomposition deterministic.
-
-    Returns:
-        SmithDecomposition(U, D, V) with U @ m @ V == D, all diagonal entries
-        of D nonnegative and each dividing the next.
-    """
-    a = m.to_lists()
-    u = _identity_lists(m.rows)
-    v = _identity_lists(m.cols)
-    _diagonalize(a, u, v)
+            u[t] = [-x for x in u[t]]
     return SmithDecomposition(_frozen(u), _frozen(a), _frozen(v))
-
-
-def invariant_factors(rows: Sequence[Sequence[int]]) -> Vector:
-    """Nonzero Smith invariant factors d1 | d2 | ... of the given rows.
-
-    The same elimination as smith_normal_form without tracking transforms,
-    for callers that only read the diagonal.
-    """
-    a = [list(row) for row in rows]
-    if len(a) == 1 or (a and len(a[0]) == 1):
-        # A single row or column reduces to its gcd.
-        g = gcd(*(x for row in a for x in row))
-        return (g,) if g else ()
-    _diagonalize(a, None, None)
-    return tuple(a[t][t] for t in range(min(len(a), len(a[0]) if a else 0)) if a[t][t])
 
 
 def _frozen(rows: list[list[int]]) -> IntMatrix:
@@ -357,8 +317,10 @@ def cyclic_group(order: int) -> AbelianGroup:
 
 
 def quotient_group(m: IntMatrix) -> AbelianGroup:
-    """Structure of Z^cols / (row span of m)."""
-    factors = invariant_factors(m.entries)
+    """Structure of Z^cols / (row span of m), read off the invariant factors
+    of smith_normal_form(m): each factor d > 1 is a Z/d, and each column
+    beyond the rank a Z."""
+    factors = smith_normal_form(m).invariant_factors
     return AbelianGroup(
         free_rank=m.cols - len(factors),
         torsion=tuple(d for d in factors if d > 1),

@@ -32,7 +32,6 @@ from .lattice import (
     IntMatrix,
     determinant,
     gcd_ext,
-    invert_unimodular,
     quotient_group,
     unimodular_complete,
 )
@@ -231,38 +230,38 @@ def sequence_key(
     return tuple(weight_key(w) for w in weights)
 
 
-def base_change_for_pair(x1: Sequence[int], x2: Sequence[int]) -> IntMatrix:
-    """Unimodular matrix sending x1 to e1 and x2 to e2.
-
-    Exists iff the pair is legal; built by completing (x1, x2) to a basis and
-    inverting its transpose.
-    """
-    basis = unimodular_complete([x1, x2])
-    return invert_unimodular(basis.transpose())
-
-
 def _cross(x: Sequence[int], y: Sequence[int]) -> Weight:
     return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
 
 
-def _frame(x: Sequence[int], y: Sequence[int]) -> tuple[Weight, ...]:
-    """Rows of a unimodular F with F x == e1 and F y == e2, for a legal pair.
+def _frame(
+    x: Sequence[int], y: Sequence[int], z: Sequence[int] | None = None
+) -> tuple[Weight, ...]:
+    """Rows of the unimodular F with F x == e1, F y == e2 (and F z == e3 at
+    rank 3), for a legal pair: the inverse of the basis [x y z].
 
-    Closed form, with no normal form: at rank 2 the signed adjugate of
-    [x y]; at rank 3 the rows y ^ z, z ^ x and c of the inverse of [x y z],
-    where c = x ^ y is primitive because the pair is legal and z is a Bezout
-    vector with c . z == 1.  The scalar twin of census._frames, without its
-    size reduction of z.  Two such frames differ by a move fixing e1 and e2,
-    which the residual shears absorb, so both give the same minimal key.
+    Closed form, with no normal form.  At rank 2 it is the signed adjugate
+    of [x y], and z is not read.  At rank 3 its rows are t (y ^ z, z ^ x,
+    x ^ y) with t = (x ^ y) . z = +-1.  x ^ y is primitive because the pair
+    is legal, and z defaults to its Bezout vector, with t == 1.  The scalar
+    twin of census._frames, without its size reduction of z.  Two frames of
+    one pair differ by a move fixing e1 and e2, which the residual shears
+    absorb, so every z gives the same minimal key; only canonicalize's
+    transform depends on z.
     """
     if len(x) == 2:
         d = x[0] * y[1] - x[1] * y[0]
         return ((d * y[1], -d * y[0]), (-d * x[1], d * x[0]))
     c = _cross(x, y)
-    g01, s01, t01 = gcd_ext(c[0], c[1])
-    _, s2, t2 = gcd_ext(g01, c[2])
-    z = (s2 * s01, s2 * t01, t2)
-    return (_cross(y, z), _cross(z, x), c)
+    if z is None:
+        g01, s01, t01 = gcd_ext(c[0], c[1])
+        _, s2, t2 = gcd_ext(g01, c[2])
+        z = (s2 * s01, s2 * t01, t2)
+    rows = (_cross(y, z), _cross(z, x), c)
+    # Inverting divides by det [x y z] = c . z, a unit: multiply by it.
+    if sum(map(mul, c, z)) == -1:
+        rows = tuple(tuple(-e for e in row) for row in rows)
+    return rows
 
 
 def _base(frame: tuple[Weight, ...], weights: Iterable[Weight]) -> list[Weight]:
@@ -334,10 +333,12 @@ def _search(s: WeightedOrbitSpace, oriented: bool) -> tuple[tuple[int, ...], tup
     """The minimal start key of s and the first rotation or reversal reaching it.
 
     One _least pass runs over the rotations of s, then of its reversal.  Each
-    adjacent pair is framed once: the reversed start at (y, x) takes the frame
-    of (x, y) with rows 1, 2 swapped.  At rank 3, with t = det(x1, x2, x3) read
-    off the pair's cross product c, when some start is a unit start (|t| == 1)
-    no other start is framed, and t * x3 is a Bezout vector of c.
+    adjacent pair is framed once by _frame: the reversed start at (y, x) takes
+    the frame of (x, y) with rows 1, 2 swapped.  At rank 3, with
+    t = det(x1, x2, x3) read off the pair's cross product c, when some start
+    is a unit start (|t| == 1) no other start is framed, and its pair is
+    framed on z = t * x3, a Bezout vector of c; any other pair is framed on
+    the Bezout vector gcd_ext gives.
     """
     ws, n = s.weights, s.n_weights
     # At rank 3 a pair is legal exactly when its cross product is primitive.
@@ -362,8 +363,7 @@ def _search(s: WeightedOrbitSpace, oriented: bool) -> tuple[tuple[int, ...], tup
     pairs = []
     for a, d, j in units or starts:
         if j not in images:
-            x, y, z = ws[j], ws[(j + 1) % n], bezout.get(j)
-            frame = (_cross(y, z), _cross(z, x), cross[j]) if z else _frame(x, y)
+            frame = _frame(ws[j], ws[(j + 1) % n], bezout.get(j))
             images[j] = _base(frame, [ws[(j + m) % n] for m in range(2, n)])
         based = images[j] if d > 0 else [(y1, y0, t) for y0, y1, t in reversed(images[j])]
         pairs.append((based, (a, d)))
@@ -388,8 +388,8 @@ def canonical_form(s: WeightedOrbitSpace, oriented: bool = False) -> WeightedOrb
 
     The same weights as canonicalize(s, oriented)[0], decoded from the key of
     _search (one frame per adjacent pair, unit starts only when there are
-    any); the transform, a normal-form completion and inverse, is never
-    built.  Call this unless the transform is needed.
+    any); the transform, whose rank-3 tie-break needs a Smith completion, is
+    never built.  Call this unless the transform is needed.
 
     Raises:
         IllegalOrbitSpaceError: some adjacent pair is not legal.
@@ -412,12 +412,14 @@ def canonicalize(
     The search, shared with canonical_form, compares flat integer keys block
     by block on closed-form frames, one per adjacent pair, and only of unit
     starts (|det(x1, x2, x3)| == 1) when there are any.  Only the first start
-    reaching the minimum is then based by base_change_for_pair, and _least
-    runs once more over that one start: its key must equal the searched key,
-    and of its minimal moves the first with s2 = +1, then s3 = +1 (an
-    unresolved s3 counts as +1), then the least u, then the least v gives the
-    transform.  Callers that discard the transform should call
-    canonical_form.
+    (x, y, ...) reaching the minimum is then based once more, by the same
+    _frame: at rank 2 it needs nothing else; at rank 3 it is fed z0, the last
+    row of unimodular_complete([x, y]), whose Smith completion fixes which
+    of several tied moves the transform takes.  _least runs over that one
+    start: its key must equal the searched key, and of its minimal moves the
+    first with s2 = +1, then s3 = +1 (an unresolved s3 counts as +1), then
+    the least u, then the least v gives the transform.  Callers that discard
+    the transform should call canonical_form.
 
     Args:
         s: a legal orbit space of rank 2 or 3.
@@ -431,15 +433,17 @@ def canonicalize(
             implementation fault).
     """
     best_key, best_seq = _search(s, oriented)
-    a0 = base_change_for_pair(best_seq[0], best_seq[1])
-    key, live = _least([(_base(a0.entries, best_seq[2:]), None)], s.rank)
+    x, y = best_seq[:2]
+    z0 = unimodular_complete([x, y]).row(2) if s.rank == 3 else None
+    a0 = _frame(x, y, z0)
+    key, live = _least([(_base(a0, best_seq[2:]), None)], s.rank)
     if key != best_key:
         raise VerificationError(
-            f"{best_seq} based by base_change_for_pair reaches {key}, not {best_key}"
+            f"{best_seq} based on the completion row {z0} reaches {key}, not {best_key}"
         )
     _, s2, u, v, s3, _ = min(live, key=lambda e: (-e[1], -(e[4] or 1), e[2], e[3]))
     move = ((1, 0), (0, s2)) if s.rank == 2 else ((1, 0, u), (0, s2, v), (0, 0, s3 or 1))
-    return _decoded(key, s.rank), IntMatrix(move) @ a0
+    return _decoded(key, s.rank), IntMatrix(move) @ IntMatrix(a0)
 
 
 def are_equivalent(

@@ -23,16 +23,17 @@ from torusorbits.errors import (
 from torusorbits.lattice import (
     AbelianGroup,
     IntMatrix,
-    invariant_factors,
+    invert_unimodular,
     kernel_basis,
     quotient_group,
+    smith_normal_form,
+    unimodular_complete,
 )
 from torusorbits.orbit_space import (
     WeightedOrbitSpace,
     _frame,
     _start_key,
     _zigzag,
-    base_change_for_pair,
     is_legal,
     normalize_weight,
     pair_is_legal,
@@ -110,9 +111,10 @@ def random_legal_cycle(rng, rank, n_weights, box):
 
 # --- reference canonicalization
 #
-# The direct search that canonicalize replaced: every start is based by
-# base_change_for_pair and every residual candidate is normalized and keyed
-# with sequence_key.  Slow, and kept only to check canonicalize against it.
+# The direct search that canonicalize replaced: every start is based by the
+# inverse of its pair's Smith completion, computed with a Hermite form, and
+# every residual candidate is normalized and keyed with sequence_key.  Slow,
+# and kept only to check canonicalize against it.
 
 
 def _nearest_shears(lead, third):
@@ -166,7 +168,8 @@ def reference_canonicalize(s, oriented=False):
         ordered = tuple(reversed(s.weights)) if flip else s.weights
         for r in range(s.n_weights):
             seq = ordered[r:] + ordered[:r]
-            a0 = base_change_for_pair(seq[0], seq[1])
+            # The inverse of the transposed Smith completion of the pair.
+            a0 = invert_unimodular(unimodular_complete(seq[:2]).transpose())
             based = tuple(a0.apply(w) for w in seq)
             assert based[0] == e1 and based[1] == e2
             for weights, b in _residual_candidates(based, s.rank):
@@ -249,7 +252,7 @@ def reference_subtorus_acts_freely(w, h_rows):
             [sum(a * b for a, b in zip(w.entries[i], row)) for row in e]
             for i in sorted(support)
         ]
-        factors = invariant_factors(restricted)
+        factors = smith_normal_form(IntMatrix.from_rows(restricted)).invariant_factors
         if len(factors) != len(e) or any(f != 1 for f in factors):
             return False
     return True

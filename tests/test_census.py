@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import product
 from math import gcd
 
@@ -285,6 +286,36 @@ def test_out_of_domain_box_fails_before_the_determinant_table():
         assert proc.returncode == 3, proc.stderr
         message = f"entry bound {bound} gives determinants beyond the packed-key limit"
         assert message in proc.stderr
+
+
+def test_bound_5_is_refused_before_any_work():
+    # 4 * 5**3 = 500 reaches the limit, so Hadamard's bound refuses the box
+    # up front; the enumeration used to run for more than a minute first.
+    argv = ["census", "--rank", "3", "--bound", "5"]
+    script = "from torusorbits.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60
+    )
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 3, proc.stderr
+    assert "entry bound 5 gives canonical-key entries beyond the packed-key limit" in proc.stderr
+    assert elapsed < 5
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4])
+def test_bounds_up_to_4_pass_the_limit_guard(monkeypatch, bound):
+    # 4 * 4**3 = 256 is below the limit: the guard lets the box through to
+    # the enumeration, stubbed here so that nothing is enumerated.
+    seen = []
+
+    def no_weights(rank, box):
+        seen.append((rank, box))
+        return []
+
+    monkeypatch.setattr(census, "primitive_weights", no_weights)
+    assert _rank3_classes(bound) == []
+    assert seen == [(3, bound)]
 
 
 def test_rows_sorted_verified_simply_connected():

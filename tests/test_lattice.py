@@ -72,6 +72,19 @@ def test_gcd_ext_is_a_minimal_bezout_pair(a, c):
             assert (abs(s), s < 0) <= (abs(alt), alt < 0)
 
 
+@given(st.integers(-200, 200), st.integers(-200, 200))
+def test_gcd_ext_matches_a_scan_of_the_bezout_line(a, c):
+    # Every s with a*s == g (mod c) lies in [-|c|, |c|] once shifted by the
+    # step |c/g| <= |c|; the least by (|s|, s < 0) is gcd_ext's s.
+    g, s, t = gcd_ext(a, c)
+    if c == 0:
+        assert (g, s, t) == ((abs(a), (a > 0) - (a < 0), 0) if a else (0, 0, 0))
+        return
+    line = [x for x in range(-abs(c), abs(c) + 1) if (g - a * x) % c == 0]
+    best = min(line, key=lambda x: (abs(x), x < 0))
+    assert (s, t) == (best, (g - a * best) // c)
+
+
 def test_gcd_ext_determinism_across_signs():
     for a in range(-12, 13):
         for c in range(-12, 13):

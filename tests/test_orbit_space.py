@@ -1,5 +1,6 @@
 """Tests for weighted orbit spaces: legality, pi1 bound, canonical forms."""
 
+import hashlib
 import random
 from itertools import combinations
 from math import gcd
@@ -254,28 +255,80 @@ def test_canonicalize_matches_reference(rank_box, n_weights, rng):
             assert transform.entries == ref_transform.entries
 
 
-@pytest.mark.parametrize(
-    "weights, oriented",
-    [
-        # Several residual moves of the winning start reach the least key,
-        # and the first of them in _least's order is not the first in the
-        # order s2, s3, u, v that fixes the transform.
-        (((0, 1, 1), (1, -1, 1), (1, 0, 0)), False),
-        (((0, 1, 1), (1, -1, 1), (1, 0, 0)), True),
-        (((0, 1, -1), (1, 0, 0), (1, -1, -1)), False),
-        (((0, 1, -1), (1, 0, 0), (1, -1, -1)), True),
-        (((1, 1, 1), (1, 0, -1), (1, -1, -1), (0, 1, 0)), False),
-        # Minimal moves with (s2, s3) = (+1, -1) and (-1, +1): s2 decides first.
-        (((0, 0, 1), (1, 0, -1), (1, 1, 1), (1, 0, 1)), False),
-        (((0, 0, 1), (1, 0, -1), (1, 1, 1), (1, 0, 1)), True),
-    ],
-)
+TIED_MOVE_CASES = [
+    # Several residual moves of the winning start reach the least key, and
+    # the first of them in _least's order is not the first in the order
+    # s2, s3, u, v that fixes the transform.
+    (((0, 1, 1), (1, -1, 1), (1, 0, 0)), False),
+    (((0, 1, 1), (1, -1, 1), (1, 0, 0)), True),
+    (((0, 1, -1), (1, 0, 0), (1, -1, -1)), False),
+    (((0, 1, -1), (1, 0, 0), (1, -1, -1)), True),
+    (((1, 1, 1), (1, 0, -1), (1, -1, -1), (0, 1, 0)), False),
+    # Minimal moves with (s2, s3) = (+1, -1) and (-1, +1): s2 decides first.
+    (((0, 0, 1), (1, 0, -1), (1, 1, 1), (1, 0, 1)), False),
+    (((0, 0, 1), (1, 0, -1), (1, 1, 1), (1, 0, 1)), True),
+]
+
+
+@pytest.mark.parametrize("weights, oriented", TIED_MOVE_CASES)
 def test_canonicalize_transform_on_tied_moves(weights, oriented):
     s = WeightedOrbitSpace(3, weights)
     canon, transform = canonicalize(s, oriented=oriented)
     ref, ref_transform = reference_canonicalize(s, oriented=oriented)
     assert canon.weights == ref.weights
     assert transform.entries == ref_transform.entries
+
+
+def _sampled_legal_cycle(rng, rank, n_weights, box):
+    """Legal cycle of primitive box weights, each drawn until it is legal
+    next to the one before it and, for the last, next to the first."""
+
+    def draw():
+        while True:
+            w = tuple(rng.randint(-box, box) for _ in range(rank))
+            if gcd(*w) == 1:
+                return w
+
+    while True:
+        cycle = [draw()]
+        while len(cycle) < n_weights - 1:
+            w = draw()
+            if pair_is_legal(cycle[-1], w):
+                cycle.append(w)
+        # The first and last weights may have no common neighbour: retry.
+        for _ in range(2_000):
+            w = draw()
+            if pair_is_legal(cycle[-1], w) and pair_is_legal(w, cycle[0]):
+                return WeightedOrbitSpace(rank, (*cycle, w))
+
+
+def _canon_digest_cases():
+    rng = random.Random(1111)
+    for rank in (2, 3):
+        for i in range(375):
+            s = _sampled_legal_cycle(rng, rank, 3 + i % 4, 1 + (i // 4) % 5)
+            for presentation in (s, random_symmetry_move(rng, s)):
+                for oriented in (False, True):
+                    yield presentation, oriented
+    for weights, oriented in TIED_MOVE_CASES:
+        yield WeightedOrbitSpace(3, weights), oriented
+
+
+# sha256 of canonicalize's (weights, transform) over _canon_digest_cases,
+# recorded when the transform was still built by a Smith completion and a
+# Hermite inverse; the closed-form frame must print the same bytes.
+CANON_DIGEST = "a5e01998fbbd80073bc645ec36202ac7864a640dcde6fe6b86b2195126203bbc"
+
+
+def test_canonicalize_bytes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for s, oriented in _canon_digest_cases():
+        canon, transform = canonicalize(s, oriented=oriented)
+        digest.update(repr((s.weights, oriented, canon.weights, transform.entries)).encode())
+        count += 1
+    assert count == 3007
+    assert digest.hexdigest() == CANON_DIGEST
 
 
 def _starts(s):
