@@ -129,9 +129,11 @@ _DV = np.array([c[2] for c in _CAND], dtype=np.int32)[:, None]
 
 def _zigzag_codes(values: np.ndarray) -> np.ndarray:
     codes = _zigzag(values)
-    if codes.max(initial=0) >= 2 * _ENTRY_LIMIT:
+    # An entry e has |e| < _ENTRY_LIMIT exactly when its code is below
+    # _zigzag(_ENTRY_LIMIT) = 2 * _ENTRY_LIMIT - 1, for either sign.
+    if codes.max(initial=0) >= 2 * _ENTRY_LIMIT - 1:
         raise PackedKeyLimitError(
-            f"a canonical-key entry exceeds {_ENTRY_LIMIT} in absolute value"
+            f"a canonical-key entry reaches {_ENTRY_LIMIT} in absolute value"
         )
     return codes
 
