@@ -389,6 +389,20 @@ class IsotropyDiagram:
     complement: tuple[tuple[int, ...], ...]
 
 
+# Off-support coordinates of each vertex (two) and arc (one), in the order
+# of VERTEX_SUPPORTS and ARC_SUPPORTS, and the vertex strata, which are the
+# same rank-2 tori in every induced diagram.
+_VERTEX_OFF_SUPPORT: tuple[tuple[int, int], ...] = tuple(
+    tuple(i for i in range(4) if i not in sup) for sup in VERTEX_SUPPORTS
+)
+_ARC_OFF_SUPPORT: tuple[int, ...] = tuple(
+    next(i for i in range(4) if i not in sup) for sup in ARC_SUPPORTS
+)
+_VERTEX_STRATA: tuple[VertexStratum, ...] = tuple(
+    VertexStratum(sup, AbelianGroup(2, ())) for sup in VERTEX_SUPPORTS
+)
+
+
 def induced_orbit_space(
     w: IntMatrix,
     h_rows: Sequence[Sequence[int]],
@@ -418,18 +432,16 @@ def induced_orbit_space(
     # Only the stabilizer ranks are read here (see _support_stabilizer): at
     # a vertex the rank of its two off-support rows, on an arc whether its
     # one off-support row is nonzero, that row then being the arc's slope.
-    vertex = AbelianGroup(2, ())
-    for sup in VERTEX_SUPPORTS:
-        x, y = (coords[i] for i in range(4) if i not in sup)
-        rank = _pair_rank(x, y)
+    for sup, (i, j) in zip(VERTEX_SUPPORTS, _VERTEX_OFF_SUPPORT):
+        rank = _pair_rank(coords[i], coords[j])
         if rank != 2:
             raise StabilizerRankUnexpectedError(
                 f"vertex {sorted(sup)} has stabilizer {AbelianGroup(rank, ())}, "
                 "expected a 2-torus"
             )
     slopes = []
-    for sup in ARC_SUPPORTS:
-        (row,) = (coords[i] for i in range(4) if i not in sup)
+    for sup, i in zip(ARC_SUPPORTS, _ARC_OFF_SUPPORT):
+        row = coords[i]
         if not any(row):
             raise StabilizerRankUnexpectedError(
                 f"arc {sorted(sup)} has stabilizer {AbelianGroup(0, ())}, expected a circle"
@@ -440,7 +452,7 @@ def induced_orbit_space(
     return IsotropyDiagram(
         orbit_space=space,
         arcs=tuple(ArcStratum(sup, wt) for sup, wt in zip(ARC_SUPPORTS, space.weights)),
-        vertices=tuple(VertexStratum(sup, vertex) for sup in VERTEX_SUPPORTS),
+        vertices=_VERTEX_STRATA,
         complement=c_rows,
     )
 

@@ -108,10 +108,22 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _json_int(value) -> int:
+    """A JSON integer as is; a float, boolean, string or null is refused,
+    not truncated or read as 0 or 1.
+
+    Raises:
+        TypeError: value is not an int (bool excluded).
+    """
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def space_from_object(data: Mapping) -> WeightedOrbitSpace:
     try:
-        rank = int(data["rank"])
-        weights = tuple(tuple(int(e) for e in w) for w in data["weights"])
+        rank = _json_int(data["rank"])
+        weights = tuple(tuple(_json_int(e) for e in w) for w in data["weights"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"orbit-space object needs integer rank and weights: {exc}") from exc
     return WeightedOrbitSpace(rank, weights)
@@ -155,7 +167,7 @@ def _t2_from(command: Command) -> T2ActionParams:
 
 def _params_from_fields(factory, data: Mapping, fields: str):
     try:
-        values = {name: int(data[name]) for name in fields}
+        values = {name: _json_int(data[name]) for name in fields}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"action object needs integer fields {','.join(fields)}: {exc}") from exc
     return factory(**values)

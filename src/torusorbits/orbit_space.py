@@ -32,8 +32,9 @@ from .lattice import (
     IntMatrix,
     determinant,
     gcd_ext,
+    hermite_normal_form,
     quotient_group,
-    unimodular_complete,
+    smith_normal_form,
 )
 
 Weight = tuple[int, ...]
@@ -377,10 +378,44 @@ _STANDARD_PAIR = {2: ((1, 0), (0, 1)), 3: ((1, 0, 0), (0, 1, 0))}
 
 
 def _decoded(key: tuple[int, ...], rank: int) -> WeightedOrbitSpace:
-    """The orbit space e1, e2 followed by the weights a start key codes."""
+    """The orbit space e1, e2 followed by the weights a start key codes.
+
+    Built as is, not re-normalized: _least sign-normalized every image it
+    keyed, and images of primitive weights under a unimodular map are
+    primitive, so each decoded weight is already what normalize_weight
+    returns, and __post_init__ is skipped.
+    """
     entries = [_unzigzag(code) for code in key]
     images = (tuple(entries[i : i + rank]) for i in range(0, len(entries), rank))
-    return WeightedOrbitSpace(rank, (*_STANDARD_PAIR[rank], *images))
+    space = object.__new__(WeightedOrbitSpace)
+    object.__setattr__(space, "rank", rank)
+    object.__setattr__(space, "weights", (*_STANDARD_PAIR[rank], *images))
+    return space
+
+
+def _completion_row(x: Weight, y: Weight) -> Weight:
+    """z0, the row that unimodular_complete([x, y]) adds, without inverting V.
+
+    With U [x; y] V = D the Smith form, unimodular_complete takes row 2 of
+    V^-1.  For a unimodular V, V^-1 = det(V) adj(V), and row 2 of adj(V) is
+    V_col0 ^ V_col1, so z0 = det(V) (V_col0 ^ V_col1).  It is then reduced
+    against the Hermite basis of x, y by the same loop.
+
+    Raises:
+        VerificationError: (x ^ y) . z0 is not +-1 (an implementation fault).
+    """
+    col0, col1, col2 = zip(*smith_normal_form(IntMatrix((x, y))).V.entries)
+    c = _cross(col0, col1)
+    det_v = sum(map(mul, c, col2))
+    z = [det_v * e for e in c]
+    for row in hermite_normal_form((x, y), 3):
+        pivot = next(j for j, e in enumerate(row) if e)
+        q = z[pivot] // row[pivot]
+        if q:
+            z = [a - q * b for a, b in zip(z, row)]
+    if sum(map(mul, _cross(x, y), z)) not in (1, -1):
+        raise VerificationError(f"completion row {z} of {x}, {y} is not unimodular")
+    return tuple(z)
 
 
 def canonical_form(s: WeightedOrbitSpace, oriented: bool = False) -> WeightedOrbitSpace:
@@ -388,8 +423,9 @@ def canonical_form(s: WeightedOrbitSpace, oriented: bool = False) -> WeightedOrb
 
     The same weights as canonicalize(s, oriented)[0], decoded from the key of
     _search (one frame per adjacent pair, unit starts only when there are
-    any); the transform, whose rank-3 tie-break needs a Smith completion, is
-    never built.  Call this unless the transform is needed.
+    any) without re-normalizing them; the transform, whose rank-3 tie-break
+    needs a Smith form, is never built.  Call this unless the transform is
+    needed.
 
     Raises:
         IllegalOrbitSpaceError: some adjacent pair is not legal.
@@ -414,12 +450,14 @@ def canonicalize(
     starts (|det(x1, x2, x3)| == 1) when there are any.  Only the first start
     (x, y, ...) reaching the minimum is then based once more, by the same
     _frame: at rank 2 it needs nothing else; at rank 3 it is fed z0, the last
-    row of unimodular_complete([x, y]), whose Smith completion fixes which
-    of several tied moves the transform takes.  _least runs over that one
-    start: its key must equal the searched key, and of its minimal moves the
-    first with s2 = +1, then s3 = +1 (an unresolved s3 counts as +1), then
-    the least u, then the least v gives the transform.  Callers that discard
-    the transform should call canonical_form.
+    row of unimodular_complete([x, y]), which fixes which of several tied
+    moves the transform takes.  z0 is read off the Smith form of [x; y] in
+    closed form (_completion_row), with no inverse and no determinant.
+    _least runs over that one start: its key must equal the searched key,
+    and of its minimal moves the first with s2 = +1, then s3 = +1 (an
+    unresolved s3 counts as +1), then the least u, then the least v gives
+    the transform, the product of that move and the frame.  Callers that
+    discard the transform should call canonical_form.
 
     Args:
         s: a legal orbit space of rank 2 or 3.
@@ -429,12 +467,12 @@ def canonicalize(
     Raises:
         IllegalOrbitSpaceError: some adjacent pair is not legal.
         UnsupportedRankError: rank is not 2 or 3.
-        VerificationError: the search and the transform disagree (an
-            implementation fault).
+        VerificationError: the search and the transform disagree, or z0 is
+            not a unimodular completion (implementation faults).
     """
     best_key, best_seq = _search(s, oriented)
     x, y = best_seq[:2]
-    z0 = unimodular_complete([x, y]).row(2) if s.rank == 3 else None
+    z0 = _completion_row(x, y) if s.rank == 3 else None
     a0 = _frame(x, y, z0)
     key, live = _least([(_base(a0, best_seq[2:]), None)], s.rank)
     if key != best_key:
@@ -443,7 +481,9 @@ def canonicalize(
         )
     _, s2, u, v, s3, _ = min(live, key=lambda e: (-e[1], -(e[4] or 1), e[2], e[3]))
     move = ((1, 0), (0, s2)) if s.rank == 2 else ((1, 0, u), (0, s2, v), (0, 0, s3 or 1))
-    return _decoded(key, s.rank), IntMatrix(move) @ IntMatrix(a0)
+    columns = tuple(zip(*a0))
+    transform = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in move)
+    return _decoded(key, s.rank), IntMatrix(transform)
 
 
 def are_equivalent(

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: random symmetry moves, seed spaces, the
 reference canonicalization, start key and search, the reference stabilizer
-route and the reference rank-3 census enumeration."""
+route, the reference rank-3 census enumeration and a call counter."""
 
+import sys
 from itertools import product
 from math import gcd
 
@@ -40,6 +41,25 @@ from torusorbits.orbit_space import (
     require_legal,
     sequence_key,
 )
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one per call of module.name, from any module of
+    the package: every torusorbits namespace binding the function gets the
+    counting wrapper, as modules import each other's functions by name."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module_name, namespace in list(sys.modules.items()):
+        if module_name == "torusorbits" or module_name.startswith("torusorbits."):
+            for bound, value in list(vars(namespace).items()):
+                if value is fn:
+                    monkeypatch.setattr(namespace, bound, counted)
+    return calls
 
 
 def space(rank, *weights):

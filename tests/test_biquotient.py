@@ -83,6 +83,7 @@ from torusorbits.lattice import (
 from torusorbits.orbit_space import WeightedOrbitSpace, are_equivalent, normalize_weight
 
 from support import (
+    count_calls,
     random_legal_space,
     random_unimodular_rows,
     reference_subtorus_acts_freely,
@@ -553,6 +554,16 @@ def test_dim5_solvers_check_adjacency_once(monkeypatch):
             else:
                 realize_dim5(target)
             assert len(calls) == 1
+
+
+def test_canonical_position_realize_induces_once(monkeypatch):
+    # The realization check reads its supports from module constants; a
+    # canonical-position target still gets exactly one induced diagram.
+    calls = count_calls(monkeypatch, biquotient, "induced_orbit_space")
+    target = dim5_orbit_space(DIM5_EXAMPLE)
+    assert in_canonical_position(target)
+    realize_dim5(target)
+    assert len(calls) == 1
 
 
 def test_realize_round_trip_mismatch_raises(monkeypatch):

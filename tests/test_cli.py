@@ -14,16 +14,19 @@ import sys
 
 import pytest
 
+from torusorbits.biquotient import CircleActionParams
 from torusorbits.cli import (
     EXIT_DOMAIN,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_PARSE,
     Command,
+    _params_from_fields,
     main,
     parse_int_tuple,
     parse_weights,
     run,
+    space_from_object,
 )
 from torusorbits.errors import ParseError
 from torusorbits.lattice import IntMatrix
@@ -274,6 +277,32 @@ def test_parse_and_domain_exit_codes(tmp_path, capsys):
         main(["badverb"])
     assert exc.value.code == EXIT_PARSE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "verb, obj",
+    [
+        ("canon", {"rank": 3, "weights": [[1.9, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}),
+        ("canon", {"rank": 3, "weights": [[True, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}),
+        ("canon", {"rank": 2.7, "weights": [[1, 0], [0, 1], [1, 0], [2, 1]]}),
+        ("canon", {"rank": "2", "weights": [[1, 0], [0, 1], [1, 0], [2, 1]]}),
+        ("extend", {"kind": "circle", "a": 1.5, "b": 1, "c": 1, "d": 2}),
+        ("extend", {"kind": "circle", "a": 1, "b": False, "c": 1, "d": 2}),
+    ],
+    ids=["float-weight", "bool-weight", "float-rank", "string-rank", "float-field", "bool-field"],
+)
+def test_json_inputs_refuse_non_integers(tmp_path, capsys, verb, obj):
+    # JSON numbers that are not integers are refused, not truncated, as the
+    # inline --weights "(1.5,0,0),..." already is.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = invoke(capsys, verb, str(path))
+    assert code == EXIT_PARSE and not out and "error:" in err
+    with pytest.raises(ParseError):
+        if verb == "canon":
+            space_from_object(obj)
+        else:
+            _params_from_fields(CircleActionParams, obj, "abcd")
 
 
 def test_census_table_and_stderr_count(capsys):

@@ -2,11 +2,11 @@
 
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusorbits.errors import (
@@ -15,9 +15,18 @@ from torusorbits.errors import (
     RankTooSmallError,
     UnsupportedRankError,
 )
-from torusorbits.lattice import AbelianGroup, IntMatrix, gcd_ext, smith_normal_form
+import torusorbits.lattice as lattice
+import torusorbits.orbit_space as orbit_space
+from torusorbits.lattice import (
+    AbelianGroup,
+    IntMatrix,
+    gcd_ext,
+    smith_normal_form,
+    unimodular_complete,
+)
 from torusorbits.orbit_space import (
     WeightedOrbitSpace,
+    _completion_row,
     _search,
     _start_key,
     are_equivalent,
@@ -33,6 +42,7 @@ from torusorbits.orbit_space import (
 )
 
 from support import (
+    count_calls,
     random_legal_cycle,
     random_legal_space,
     random_symmetry_move,
@@ -479,6 +489,60 @@ def test_canonical_form_matches_canonicalize(rank_box, n_weights, rng):
             raised = _raised(canonical_form, bad, oriented=oriented)
             assert raised is _raised(canonicalize, bad, oriented=oriented)
             assert raised is (IllegalOrbitSpaceError if bad is illegal else UnsupportedRankError)
+
+
+def test_completion_row_matches_unimodular_complete_on_every_small_pair():
+    # z0 = det(V) (V_col0 ^ V_col1), reduced like unimodular_complete's rows,
+    # is the row unimodular_complete adds, on every legal pair in [-2, 2]^3.
+    box = list(product(range(-2, 3), repeat=3))
+    count = 0
+    for x in box:
+        for y in box:
+            if pair_is_legal(x, y):
+                assert _completion_row(x, y) == unimodular_complete([x, y]).row(2)
+                count += 1
+    assert count == 7176
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[st.integers(-60, 60)] * 3),
+    st.tuples(*[st.integers(-60, 60)] * 3),
+)
+def test_completion_row_matches_unimodular_complete(x, y):
+    assume(pair_is_legal(x, y))
+    assert _completion_row(x, y) == unimodular_complete([x, y]).row(2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(2, 4), (3, 2), (3, 3)]),
+    st.integers(3, 6),
+    st.randoms(use_true_random=False),
+)
+def test_decoded_forms_are_already_normalized(rank_box, n_weights, rng):
+    # The decode skips __post_init__: its weights must be exactly what
+    # normalizing them again gives.
+    rank, box = rank_box
+    s = random_symmetry_move(rng, random_legal_cycle(rng, rank, n_weights, box))
+    for oriented in (False, True):
+        for form in (canonical_form(s, oriented), canonicalize(s, oriented)[0]):
+            assert form == WeightedOrbitSpace(s.rank, form.weights)
+
+
+def test_rank3_canonicalize_runs_one_smith_form_and_no_inverse(monkeypatch):
+    # z0 comes from the Smith V in closed form: no completion, no inverse;
+    # neither decode re-normalizes its weights.
+    positioned = space(3, (1, 0, 0), (0, 1, 0), (1, 2, 1), (2, 1, 1))
+    s = random_symmetry_move(random.Random(12), positioned)
+    smith = count_calls(monkeypatch, lattice, "smith_normal_form")
+    complete = count_calls(monkeypatch, lattice, "unimodular_complete")
+    inverse = count_calls(monkeypatch, lattice, "invert_unimodular")
+    normalize = count_calls(monkeypatch, orbit_space, "normalize_weight")
+    canonicalize(s)
+    assert (len(smith), len(complete), len(inverse), len(normalize)) == (1, 0, 0, 0)
+    canonical_form(s)
+    assert (len(smith), len(complete), len(inverse), len(normalize)) == (1, 0, 0, 0)
 
 
 def test_oriented_canonicalize_refines():
