@@ -26,12 +26,13 @@ from .classify import (
     ManifoldType,
     circle_quotient_type,
     classify_dim4,
+    cross_factor_gcds,
+    dim4_family,
     extract_dim5_params,
     in_canonical_position,
 )
 from .errors import (
     DegenerateActionError,
-    EpsilonClassMismatchError,
     NotFreeError,
     NotFreeSubtorusError,
     NotRealizableError,
@@ -130,19 +131,15 @@ def mixed_t2_family() -> T2ActionParams:
 def is_free_circle(p: CircleActionParams) -> bool:
     """Whether the circle with these exponents acts freely.
 
-    Freeness is exactly the four pairwise gcd conditions across the factors.
+    Freeness is exactly the four pairwise gcd conditions across the factors,
+    classify.cross_factor_gcds, which Dim5Params also checks.
 
     Raises:
         DegenerateActionError: all four exponents vanish (trivial action).
     """
     if p.a == 0 and p.b == 0 and p.c == 0 and p.d == 0:
         raise DegenerateActionError("all exponents are zero")
-    return (
-        gcd(p.a, p.c) == 1
-        and gcd(p.a, p.d) == 1
-        and gcd(p.b, p.c) == 1
-        and gcd(p.b, p.d) == 1
-    )
+    return cross_factor_gcds(p.a, p.b, p.c, p.d) == (1, 1, 1, 1)
 
 
 def w2_class(p: CircleActionParams) -> ManifoldType:
@@ -477,8 +474,8 @@ def classify_t2_quotient(p: T2ActionParams) -> ManifoldType:
 
     Raises:
         NotFreeError: the parameters fail a freeness equation.
-        EpsilonClassMismatchError: diagram type and sign product disagree
-            (cannot happen; guards the implementation).
+        VerificationError: diagram type and sign product disagree (an
+            implementation fault; never bad user input).
     """
     freeness = is_free_t2(p)
     if not freeness.free:
@@ -493,7 +490,7 @@ def classify_t2_quotient(p: T2ActionParams) -> ManifoldType:
     else:
         expected = (S2XS2, CP2_MINUS_CP2)
     if mtype not in expected:
-        raise EpsilonClassMismatchError(
+        raise VerificationError(
             f"sign product {e2 * e3 * e4} but diagram classifies as {mtype}"
         )
     return mtype
@@ -547,16 +544,18 @@ def _verify_round_trip(
 def realize_dim4(target: WeightedOrbitSpace) -> T2ActionParams:
     """Free two-torus action whose quotient realizes a rank-2 target.
 
-    The canonical form of a legal, simply connected four-weight target is
-    either the (k, 1) family, realized by the split family with 2r+lam = k,
-    or the twisted form realized by the mixed action.  The round trip through
-    the induced orbit space is verified before returning.
+    The dim4_family of the target's canonical form, the reading
+    classify_dim4 takes the type from, names the action: the split family
+    with 2r + lam = k for the (k, 1) family, the mixed action for the
+    twisted form.  The round trip through the induced orbit space is
+    verified before returning.
 
     Raises:
         UnsupportedRankError: target rank is not 2.
         IllegalOrbitSpaceError: target is not legal.
-        NotRealizableError: target is not a four-weight quotient type.
-        VerificationError: the round trip fails (an implementation fault).
+        NotRealizableError: target does not have four weights.
+        VerificationError: the canonical form is in no four-weight family,
+            or the round trip fails (implementation faults).
     """
     if target.rank != 2:
         raise UnsupportedRankError(f"rank {target.rank} target in the dimension-4 realizer")
@@ -565,15 +564,9 @@ def realize_dim4(target: WeightedOrbitSpace) -> T2ActionParams:
         raise NotRealizableError(
             f"{target.n_weights} weights: not a quotient of the product of two 3-spheres"
         )
-    ws = canon.weights
-    if ws == ((1, 0), (0, 1), (1, 1), (2, 1)):
-        params = mixed_t2_family()
-    elif ws[:3] == ((1, 0), (0, 1), (1, 0)) and ws[3][1] == 1 and ws[3][0] >= 0:
-        k = ws[3][0]
-        params = split_t2_family(k // 2, k % 2)
-    else:
-        raise NotRealizableError(f"canonical form {canon} outside the realizable families")
-    _verify_round_trip(params, WZ_TORUS, _WZ_COMPLEMENT, ws, target)
+    family = dim4_family(canon.weights)
+    params = mixed_t2_family() if family == "mixed" else split_t2_family(family // 2, family % 2)
+    _verify_round_trip(params, WZ_TORUS, _WZ_COMPLEMENT, canon.weights, target)
     return params
 
 

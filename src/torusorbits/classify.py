@@ -2,9 +2,11 @@
 
 Rank-2 weights describe closed simply connected 4-manifolds, rank-3 weights
 describe 5-manifolds.  Both classifications read everything off the weight
-sequence: the 4-dimensional one by pattern on the canonical form, the
-5-dimensional one through the parameter tuple (a, b, c, d, k, l, m, n)
-recovered by extract_dim5_params.
+sequence: the 4-dimensional one through the family dim4_family reads off the
+canonical form, the 5-dimensional one through the parameter tuple
+(a, b, c, d, k, l, m, n) recovered by extract_dim5_params.  Each reading
+fixes the manifold and the action that realizes it, so biquotient's
+realizers call the same readers, and each rule is written once here.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from math import gcd
 
 from .errors import (
     GcdConditionViolatedError,
-    InconsistentShearError,
     NotCanonicalPositionError,
-    OrientationMismatchError,
     UnsupportedRankError,
     UnsupportedWeightCountError,
     VerificationError,
@@ -27,7 +27,6 @@ from .orbit_space import (
     canonical_form,
     pi1_bound,
     require_legal,
-    reversed_space,
 )
 
 
@@ -79,20 +78,24 @@ def not_simply_connected(group: AbelianGroup) -> ManifoldType:
     return ManifoldType("NotSimplyConnected", group=group)
 
 
-def _dim4_type_from_canonical(weights: tuple[tuple[int, ...], ...]) -> ManifoldType:
-    # In a based legal four-weight sequence e1, e2, (1,b), (c,d) the adjacent
-    # determinant conditions force b*c to be 0 or +-2; the two cases are the
-    # sphere-bundle parity family and the twisted double respectively.
-    # Internal invariant: the only caller passes a rank-2 canonical form,
-    # which starts e1, e2 by construction.
-    assert weights[0] == (1, 0) and weights[1] == (0, 1)
-    (_, b), (c, _) = weights[2], weights[3]
-    if b * c == 0:
-        k = b + c
-        return S2XS2 if k % 2 == 0 else CP2_MINUS_CP2
-    if abs(b * c) == 2:
-        return CP2_PLUS_CP2
-    raise AssertionError(f"based weights {weights} escape the legal trichotomy")
+def dim4_family(weights: tuple[tuple[int, ...], ...]) -> int | str:
+    """Family of a legal four-weight rank-2 space, read off its unoriented
+    canonical weights: k for e1, e2, e1, (k, 1) with k >= 0, the split
+    family (S2xS2 for k even, CP2#-CP2 for k odd), and "mixed" for
+    e1, e2, (1, 1), (2, 1) (CP2#CP2).  classify_dim4 reads the type and
+    realize_dim4 the action from this one reading.
+
+    Raises:
+        VerificationError: the weights have neither form (an implementation
+            fault: every legal four-weight cycle has one).
+    """
+    if weights == ((1, 0), (0, 1), (1, 1), (2, 1)):
+        return "mixed"
+    if len(weights) == 4 and weights[:3] == ((1, 0), (0, 1), (1, 0)):
+        k, one = weights[3]
+        if one == 1 and k >= 0:
+            return k
+    raise VerificationError(f"canonical weights {weights} are in no four-weight family")
 
 
 def classify_dim4(s: WeightedOrbitSpace) -> ManifoldType:
@@ -102,14 +105,13 @@ def classify_dim4(s: WeightedOrbitSpace) -> ManifoldType:
     one of the three sphere-bundle/connected-sum types, and more weights a
     connected sum whose summand count is all the weights determine.
 
-    The four-weight type is computed on the canonical forms of both boundary
-    orientations; they must agree.
+    The four-weight type is read off dim4_family of the canonical form.
 
     Raises:
         UnsupportedRankError: rank is not 2.
         IllegalOrbitSpaceError: some adjacent pair is not legal.
-        OrientationMismatchError: the two orientations disagree (no legal
-            input is known to trigger this; surfaced rather than resolved).
+        VerificationError: the canonical form is in no four-weight family
+            (an implementation fault).
     """
     if s.rank != 2:
         raise UnsupportedRankError(f"rank {s.rank} orbit space in the 4-manifold classifier")
@@ -123,15 +125,10 @@ def classify_dim4(s: WeightedOrbitSpace) -> ManifoldType:
         return CP2
     if n > 4:
         return connected_sum_dim4(n - 2)
-    forward = canonical_form(s, oriented=True)
-    backward = canonical_form(reversed_space(s), oriented=True)
-    type_fwd = _dim4_type_from_canonical(forward.weights)
-    type_bwd = _dim4_type_from_canonical(backward.weights)
-    if type_fwd != type_bwd:
-        raise OrientationMismatchError(
-            f"{type_fwd} with the given orientation, {type_bwd} reversed"
-        )
-    return type_fwd
+    family = dim4_family(canonical_form(s).weights)
+    if family == "mixed":
+        return CP2_PLUS_CP2
+    return S2XS2 if family % 2 == 0 else CP2_MINUS_CP2
 
 
 # --- dimension 5
@@ -165,6 +162,15 @@ def pi1_dim5_exact(s: WeightedOrbitSpace) -> AbelianGroup:
     return cyclic_group(gcd(r, z))
 
 
+def cross_factor_gcds(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The four cross-factor gcds of circle exponents (a, b, c, d); the
+    circle acts freely on the two 3-spheres exactly when all four are 1."""
+    return gcd(a, c), gcd(a, d), gcd(b, c), gcd(b, d)
+
+
+_CROSS_PAIRS = ("a,c", "a,d", "b,c", "b,d")
+
+
 @dataclass(frozen=True)
 class Dim5Params:
     """Parameters (a, b, c, d) plus shears (k, l) and Bezout pair (m, n).
@@ -174,6 +180,9 @@ class Dim5Params:
 
         x3 = (b*m - c*k, d*m - c*l, c),
         x4 = (-b*n - a*k, -d*n - a*l, a).
+
+    The constructor checks a*m + c*n = 1 and that the circle (a, b, c, d)
+    is free (cross_factor_gcds all 1), raising ValueError otherwise.
     """
 
     a: int
@@ -190,27 +199,23 @@ class Dim5Params:
             raise ValueError(
                 f"a*m + c*n = {self.a * self.m + self.c * self.n}, expected 1"
             )
-        for left, right in (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")):
-            g = gcd(getattr(self, left), getattr(self, right))
+        gcds = cross_factor_gcds(self.a, self.b, self.c, self.d)
+        for pair, g in zip(_CROSS_PAIRS, gcds):
             if g != 1:
-                raise ValueError(f"gcd({left},{right}) = {g}, expected 1")
+                raise ValueError(f"gcd({pair}) = {g}, expected 1")
+
+
+def _dim5_weights(params: Dim5Params) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The weights x3, x4 after e1, e2 of Dim5Params, as raw tuples: not
+    normalized, and with no WeightedOrbitSpace built."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    k, l, m, n = params.k, params.l, params.m, params.n
+    return (b * m - c * k, d * m - c * l, c), (-b * n - a * k, -d * n - a * l, a)
 
 
 def dim5_orbit_space(params: Dim5Params) -> WeightedOrbitSpace:
     """The canonical-position orbit space with the weights the params encode."""
-    a, b, c, d, k, l, m, n = (
-        params.a,
-        params.b,
-        params.c,
-        params.d,
-        params.k,
-        params.l,
-        params.m,
-        params.n,
-    )
-    x3 = (b * m - c * k, d * m - c * l, c)
-    x4 = (-b * n - a * k, -d * n - a * l, a)
-    return WeightedOrbitSpace(3, ((1, 0, 0), (0, 1, 0), x3, x4))
+    return WeightedOrbitSpace(3, ((1, 0, 0), (0, 1, 0)) + _dim5_weights(params))
 
 
 def extract_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
@@ -222,7 +227,8 @@ def extract_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
 
     (m, n) is the deterministic Bezout pair for a*m + c*n = 1 (minimal |n|,
     ties broken by n >= 0), and the shears are k = -(x*m + p*n),
-    l = -(y*m + q*n).  All four defining weight equations are re-checked.
+    l = -(y*m + q*n).  The _dim5_weights of the parameters are re-checked
+    against the input.  classify_dim5 and realize_dim5 share this reading.
 
     Legality of (e2, x3), (x3, x4), (x4, e1) is three of the four gcd
     conditions; only gcd(r,z) = 1, simple connectivity, can still fail.
@@ -230,29 +236,21 @@ def extract_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
     Raises:
         IllegalOrbitSpaceError: some adjacent pair is not legal.
         GcdConditionViolatedError: gcd(r,z) != 1.
-        InconsistentShearError: the recovered parameters do not reproduce the
-            weights (cannot happen; guards the implementation).
+        VerificationError: the recovered parameters do not reproduce the
+            weights (an implementation fault; never bad user input).
     """
     _require_canonical_position(s)
     require_legal(s)
-    (p, q, r), (x, y, z) = s.weights[2], s.weights[3]
+    x3, x4 = s.weights[2], s.weights[3]
+    (p, q, r), (x, y, z) = x3, x4
     if (g := gcd(r, z)) != 1:
         raise GcdConditionViolatedError(f"gcd(r,z) = {g}, expected 1")
     a, b, c, d = z, p * z - r * x, r, q * z - r * y
     _, n, m = gcd_ext(c, a)
-    k = -(x * m + p * n)
-    l = -(y * m + q * n)
-    # Both determinations of the shears must agree with the weights.
-    checks = (
-        ("p", p, b * m - c * k),
-        ("q", q, d * m - c * l),
-        ("x", x, -b * n - a * k),
-        ("y", y, -d * n - a * l),
-    )
-    for name, want, got in checks:
-        if want != got:
-            raise InconsistentShearError(f"{name}: weights give {want}, params give {got}")
-    return Dim5Params(a=a, b=b, c=c, d=d, k=k, l=l, m=m, n=n)
+    params = Dim5Params(a=a, b=b, c=c, d=d, k=-(x * m + p * n), l=-(y * m + q * n), m=m, n=n)
+    if (got := _dim5_weights(params)) != (x3, x4):
+        raise VerificationError(f"parameters {params} give weights {got}, not {(x3, x4)}")
+    return params
 
 
 def circle_quotient_type(a: int, b: int, c: int, d: int) -> ManifoldType:

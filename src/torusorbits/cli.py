@@ -129,14 +129,24 @@ def space_from_object(data: Mapping) -> WeightedOrbitSpace:
     return WeightedOrbitSpace(rank, weights)
 
 
+def _int_flag(command: Command, name: str) -> int | None:
+    """The flag's value, None when absent; by the _json_int rule, a value
+    that is not an int is a ParseError, not truncated."""
+    value = command.flags.get(name)
+    try:
+        return None if value is None else _json_int(value)
+    except TypeError as exc:
+        raise ParseError(f"--{name} must be an integer: {exc}") from exc
+
+
 def _space_from(command: Command, input_index: int = 0) -> WeightedOrbitSpace:
     if len(command.inputs) > input_index:
         return space_from_object(_load_json(command.inputs[input_index]))
-    rank = command.flags.get("rank")
+    rank = _int_flag(command, "rank")
     weights = command.flags.get("weights")
     if rank is None or weights is None:
         raise ParseError("provide an orbit-space file, or both --rank and --weights")
-    return WeightedOrbitSpace(int(rank), parse_weights(str(weights)))
+    return WeightedOrbitSpace(rank, parse_weights(str(weights)))
 
 
 def _circle_from(command: Command) -> CircleActionParams:
@@ -294,16 +304,16 @@ def _run_bundle(command: Command) -> RunResult:
 
 
 def _run_census(command: Command) -> RunResult:
-    rank = command.flags.get("rank")
-    bound = command.flags.get("bound")
+    rank = _int_flag(command, "rank")
+    bound = _int_flag(command, "bound")
     if rank is None or bound is None:
         raise ParseError("census requires --rank and --bound")
-    if int(bound) < 0:
+    if bound < 0:
         raise ParseError(f"--bound must be nonnegative, got {bound}")
-    rows = run_census(int(rank), int(bound))
+    rows = run_census(rank, bound)
     fmt = command.flags.get("format", "table")
     if fmt == "json":
-        text = census_ndjson(rows, int(rank), int(bound))
+        text = census_ndjson(rows, rank, bound)
     elif fmt == "csv":
         text = census_csv(rows)
     else:
@@ -417,21 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_NAMES = ("rank", "weights", "circle", "t2", "bound", "oriented", "format", "out", "slope")
+_INPUT_NAMES = ("space", "space_a", "space_b", "params")
 
 
 def command_from_args(args: argparse.Namespace) -> Command:
-    inputs = []
-    for name in ("space", "space_a", "space_b", "params"):
-        value = getattr(args, name, None)
-        if value is not None:
-            inputs.append(value)
-    flags = {
-        name: getattr(args, name)
-        for name in _FLAG_NAMES
-        if getattr(args, name, None) is not None
-    }
-    return Command(verb=args.verb, inputs=tuple(inputs), flags=flags)
+    """The verb, the input files in order, and every other set value as a flag."""
+    values = vars(args)
+    inputs = tuple(values[name] for name in _INPUT_NAMES if values.get(name) is not None)
+    flags = {k: v for k, v in values.items() if v is not None and k not in ("verb", *_INPUT_NAMES)}
+    return Command(verb=args.verb, inputs=inputs, flags=flags)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,7 +1,11 @@
 """Exception taxonomy for the torusorbits package.
 
 Every error raised by the library derives from TorusOrbitsError, so callers
-(and the CLI) can distinguish domain failures from programming bugs.
+(and the CLI) can distinguish domain failures from programming bugs.  Each
+class names one way an input can be outside the domain, except
+VerificationError, the one class for implementation faults: a result check
+or internal consistency check that no input should fail.  Input guards on
+plain values raise ValueError, and the library raises no AssertionError.
 """
 
 
@@ -57,12 +61,6 @@ class NotCanonicalPositionError(TorusOrbitsError):
     standard basis vectors."""
 
 
-class OrientationMismatchError(TorusOrbitsError):
-    """The two orientations of a legal orbit space classified to different
-    manifolds; this would indicate an implementation bug and is surfaced
-    rather than silently resolved."""
-
-
 # ---------------------------------------------------------------------------
 # dimension-5 parameter extraction
 
@@ -70,11 +68,6 @@ class OrientationMismatchError(TorusOrbitsError):
 class GcdConditionViolatedError(TorusOrbitsError):
     """One of the coprimality conditions required of a legal, simply
     connected rank-3 boundary pattern fails; the message names it."""
-
-
-class InconsistentShearError(TorusOrbitsError):
-    """The two independent determinations of a shear parameter disagree;
-    indicates an internal inconsistency, not bad user input."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +98,6 @@ class StabilizerRankUnexpectedError(TorusOrbitsError):
     action forces (circle on arcs, 2-torus at vertices)."""
 
 
-class EpsilonClassMismatchError(TorusOrbitsError):
-    """The sign invariant of a free 2-torus action contradicts the manifold
-    type computed from its induced orbit space."""
-
-
 class NotRealizableError(TorusOrbitsError):
     """No action in the implemented families induces the requested orbit
     space."""
@@ -121,8 +109,10 @@ class SlopesNotCoprimeError(TorusOrbitsError):
 
 class VerificationError(TorusOrbitsError):
     """A certificate the library computes before returning did not hold, for
-    example the realized action does not induce the requested orbit space.
-    Indicates an implementation fault, never bad user input."""
+    example the realized action does not induce the requested orbit space,
+    a canonical form is in no family, or the recovered parameters or the
+    sign invariant contradict the weights.  Indicates an implementation
+    fault, never bad user input."""
 
 
 class PackedKeyLimitError(TorusOrbitsError):

@@ -1,10 +1,15 @@
 """Tests for the 4- and 5-dimensional classification layer."""
 
 import random
+import subprocess
+import sys
+from itertools import product
 from math import gcd
 
 import pytest
 
+import torusorbits.orbit_space as orbit_space
+from torusorbits.biquotient import mixed_t2_family, realize_dim4, split_t2_family
 from torusorbits.classify import (
     CP2,
     CP2_MINUS_CP2,
@@ -21,6 +26,7 @@ from torusorbits.classify import (
     classify_dim4,
     classify_dim5,
     connected_sum_dim4,
+    dim4_family,
     dim5_orbit_space,
     extract_dim5_params,
     in_canonical_position,
@@ -33,11 +39,18 @@ from torusorbits.errors import (
     NotCanonicalPositionError,
     UnsupportedRankError,
     UnsupportedWeightCountError,
+    VerificationError,
 )
 from torusorbits.lattice import AbelianGroup, cyclic_group
-from torusorbits.orbit_space import WeightedOrbitSpace, is_legal, pi1_bound
+from torusorbits.orbit_space import (
+    WeightedOrbitSpace,
+    is_legal,
+    pair_is_legal,
+    pi1_bound,
+    reversed_space,
+)
 
-from support import random_symmetry_move, space
+from support import count_calls, random_symmetry_move, space
 
 
 def dim5_space(x3, x4):
@@ -96,6 +109,137 @@ def test_classify_dim4_constant_on_classes():
     s = space(2, (1, 0), (0, 1), (1, 1), (2, 1))
     for _ in range(12):
         assert classify_dim4(random_symmetry_move(rng, s)) == CP2_PLUS_CP2
+
+
+def small_rank2_cycles(box):
+    """Every legal four-weight rank-2 cycle of primitive weights with
+    entries in [-box, box], one per ordered tuple."""
+    pool = [w for w in product(range(-box, box + 1), repeat=2) if gcd(*w) == 1]
+    for cycle in product(pool, repeat=4):
+        if all(pair_is_legal(cycle[i], cycle[(i + 1) % 4]) for i in range(4)):
+            yield WeightedOrbitSpace(2, cycle)
+
+
+def test_dim4_type_is_the_realized_family_on_every_small_cycle():
+    # One reading gives the type and the action: the type does not see the
+    # orientation, and it is S2xS2 exactly for the split family with even
+    # twist and CP2#CP2 exactly for the mixed family.
+    count = 0
+    for s in small_rank2_cycles(2):
+        count += 1
+        mtype = classify_dim4(s)
+        assert classify_dim4(reversed_space(s)) == mtype
+        params = realize_dim4(s)
+        if params == mixed_t2_family():
+            assert mtype == CP2_PLUS_CP2
+            continue
+        lam = params.k - params.n
+        assert params == split_t2_family(params.n, lam)
+        assert mtype == (S2XS2 if lam % 2 == 0 else CP2_MINUS_CP2)
+    assert count == 3360
+
+
+def test_four_weight_classify_dim4_runs_canonical_form_once(monkeypatch):
+    calls = count_calls(monkeypatch, orbit_space, "canonical_form")
+    s = random_symmetry_move(random.Random(5), space(2, (1, 0), (0, 1), (1, 1), (2, 1)))
+    assert classify_dim4(s) == CP2_PLUS_CP2
+    assert len(calls) == 1
+
+
+def test_dim4_family_reads_the_two_canonical_forms():
+    assert dim4_family(((1, 0), (0, 1), (1, 1), (2, 1))) == "mixed"
+    for k in range(6):
+        assert dim4_family(((1, 0), (0, 1), (1, 0), (k, 1))) == k
+    for weights in (
+        ((1, 0), (0, 1), (1, 0), (-1, 1)),
+        ((1, 0), (0, 1), (1, 0), (1, 2)),
+        ((1, 0), (0, 1), (1, 1), (1, 2)),
+        ((0, 1), (1, 0), (1, 0), (2, 1)),
+        ((1, 0), (0, 1), (1, 0)),
+        ((1, 0), (0, 1), (1, 0), (2, 1), (1, 0)),
+    ):
+        with pytest.raises(VerificationError):
+            dim4_family(weights)
+
+
+# --- implementation faults
+#
+# Each check that guards the implementation raises VerificationError when a
+# step feeds it a wrong value: (module, name, replacement, call).  Inputs are
+# legal, so only the patched step can be at fault.
+
+FAULT_IMPORTS = (
+    "import torusorbits.biquotient as biquotient\n"
+    "import torusorbits.classify as classify\n"
+    "from torusorbits.biquotient import classify_t2_quotient, realize_dim4, split_t2_family\n"
+    "from torusorbits.classify import CP2_PLUS_CP2, classify_dim4, extract_dim5_params\n"
+    "from torusorbits.orbit_space import WeightedOrbitSpace\n"
+)
+FAULTS = (
+    # The canonical form comes back as the input, a rotation of the mixed form.
+    (
+        "classify",
+        "canonical_form",
+        "lambda s, oriented=False: s",
+        "classify_dim4(WeightedOrbitSpace(2, ((1, 1), (2, 1), (1, 0), (0, 1))))",
+    ),
+    (
+        "biquotient",
+        "canonical_form",
+        "lambda s, oriented=False: s",
+        "realize_dim4(WeightedOrbitSpace(2, ((1, 1), (2, 1), (1, 0), (0, 1))))",
+    ),
+    # The weight formula disagrees with the recovered parameters.
+    (
+        "classify",
+        "_dim5_weights",
+        "lambda params: ((0, 0, 1), (0, 0, 1))",
+        "extract_dim5_params(WeightedOrbitSpace(3, ((1, 0, 0), (0, 1, 0), (1, 1, 2), (1, 1, 3))))",
+    ),
+    # The diagram type contradicts the sign product +1 of the split family.
+    (
+        "biquotient",
+        "classify_dim4",
+        "lambda s: CP2_PLUS_CP2",
+        "classify_t2_quotient(split_t2_family(0, 0))",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "module, name, replacement, call",
+    FAULTS,
+    ids=["classify-dim4", "realize-dim4", "extract-dim5", "t2-quotient"],
+)
+def test_implementation_faults_raise_verification_error(monkeypatch, module, name, replacement, call):
+    namespace = {}
+    exec(FAULT_IMPORTS, namespace)
+    eval(call, namespace)  # unpatched, the call succeeds
+    monkeypatch.setattr(namespace[module], name, eval(replacement, namespace))
+    with pytest.raises(VerificationError):
+        eval(call, namespace)
+
+
+def test_implementation_faults_raise_under_optimized_python():
+    script = (
+        FAULT_IMPORTS
+        + "from torusorbits.errors import VerificationError\n"
+        + f"for module, name, replacement, call in {FAULTS!r}:\n"
+        "    target = globals()[module]\n"
+        "    saved = getattr(target, name)\n"
+        "    setattr(target, name, eval(replacement))\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except VerificationError:\n"
+        "        continue\n"
+        "    finally:\n"
+        "        setattr(target, name, saved)\n"
+        "    raise SystemExit(call)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # --- parameter extraction

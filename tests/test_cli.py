@@ -305,6 +305,24 @@ def test_json_inputs_refuse_non_integers(tmp_path, capsys, verb, obj):
             _params_from_fields(CircleActionParams, obj, "abcd")
 
 
+@pytest.mark.parametrize(
+    "verb, flags",
+    [
+        ("canon", {"rank": 2.7, "weights": "(1,0),(0,1),(1,0),(2,1)"}),
+        ("canon", {"rank": True, "weights": "(1,0),(0,1),(1,0),(2,1)"}),
+        ("census", {"rank": 2, "bound": 1.9}),
+        ("census", {"rank": 2.7, "bound": 1}),
+        ("census", {"rank": 2, "bound": True}),
+    ],
+    ids=["float-rank", "bool-rank", "float-bound", "census-float-rank", "bool-bound"],
+)
+def test_run_refuses_non_integer_flags(verb, flags):
+    # Library callers of run pass flag values directly; a value that is not
+    # an int is refused by the JSON integer rule, not truncated.
+    with pytest.raises(ParseError, match="must be an integer"):
+        run(Command(verb, (), flags))
+
+
 def test_census_table_and_stderr_count(capsys):
     code, out, err = invoke(capsys, "census", "--rank", "2", "--bound", "1")
     assert code == EXIT_OK

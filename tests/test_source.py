@@ -24,6 +24,18 @@ def _unmarked_asserts(source):
             out.append(node.lineno)
     return out
 
+
+def _raised_names(source):
+    """Names of the classes a source raises, as `raise X` or `raise X(...)`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
 def test_every_assert_is_a_marked_internal_invariant():
     # python -O strips asserts, so a check that an input can fail must
     # raise; an assert is allowed only for an invariant no input reaches,
@@ -45,3 +57,22 @@ def test_the_assert_lint_catches_an_unmarked_assert():
     assert _unmarked_asserts(marked) == []
     spaced = "# Internal invariant: x is positive.\n\nassert x\n"
     assert _unmarked_asserts(spaced) == [3]
+
+
+def test_no_assertion_error_and_every_error_class_is_raised():
+    # Implementation faults raise VerificationError, not AssertionError, and
+    # errors.py defines no class that nothing raises.
+    raised = set().union(*(_raised_names(path.read_text()) for path in MODULES))
+    assert "AssertionError" not in raised
+    errors = next(path for path in MODULES if path.name == "errors.py")
+    defined = {
+        node.name
+        for node in ast.walk(ast.parse(errors.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert defined - raised == {"TorusOrbitsError"}
+
+
+def test_the_raise_lint_reads_names_and_calls():
+    source = "try:\n    raise A\nexcept A:\n    raise\nraise B('x') from None\nraise c.D()\n"
+    assert _raised_names(source) == {"A", "B"}
