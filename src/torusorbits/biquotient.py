@@ -37,7 +37,6 @@ from .errors import (
     NotFreeSubtorusError,
     NotRealizableError,
     SlopesNotCoprimeError,
-    StabilizerRankUnexpectedError,
     UnrealizableSupportError,
     UnsupportedRankError,
     UnsupportedWeightCountError,
@@ -142,14 +141,19 @@ def is_free_circle(p: CircleActionParams) -> bool:
     return cross_factor_gcds(p.a, p.b, p.c, p.d) == (1, 1, 1, 1)
 
 
+def _require_free_circle(p: CircleActionParams) -> None:
+    """Raise NotFreeError unless the circle acts freely."""
+    if not is_free_circle(p):
+        raise NotFreeError(f"circle {p} has a common exponent divisor across factors")
+
+
 def w2_class(p: CircleActionParams) -> ManifoldType:
     """Type of the 5-manifold quotient by a free circle: parity of a+b+c+d.
 
     Raises:
         NotFreeError: the circle does not act freely.
     """
-    if not is_free_circle(p):
-        raise NotFreeError(f"circle {p} has a common exponent divisor across factors")
+    _require_free_circle(p)
     return circle_quotient_type(p.a, p.b, p.c, p.d)
 
 
@@ -178,6 +182,14 @@ def is_free_t2(p: T2ActionParams) -> T2Freeness:
         if value not in (1, -1):
             return T2Freeness(free=False, eps=None, failing=f"{name} = {value}")
     return T2Freeness(free=True, eps=(e2, e3, e4), failing=None)
+
+
+def _free_t2_signs(p: T2ActionParams) -> tuple[int, int, int]:
+    """The signs (e2, e3, e4) of a free two-torus; NotFreeError otherwise."""
+    freeness = is_free_t2(p)
+    if freeness.eps is None:
+        raise NotFreeError(freeness.failing)
+    return freeness.eps
 
 
 def torus_weight_matrix(params: T2ActionParams | Dim5Params) -> IntMatrix:
@@ -246,34 +258,41 @@ def _as_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def _residual_basis(
-    h_rows: Sequence[Sequence[int]],
-    complement: Sequence[Sequence[int]] | None,
-) -> tuple[tuple[tuple[int, ...], ...], IntMatrix]:
-    """Complement rows and the inverse of the basis [h_rows; complement]."""
-    return _residual_basis_of(
-        _as_rows(h_rows), None if complement is None else _as_rows(complement)
-    )
-
-
 @lru_cache(maxsize=64)
-def _residual_basis_of(
+def _residual_basis(
     h_rows: tuple[tuple[int, ...], ...],
     complement: tuple[tuple[int, ...], ...] | None,
 ) -> tuple[tuple[tuple[int, ...], ...], IntMatrix]:
-    # Realizations quotient by the same few subtori in the same coordinates,
-    # so a basis is inverted once and then looked up.
+    """Complement rows and the inverse of the basis [h_rows; complement].
+
+    Cached: realizations quotient by the same few subtori in the same
+    coordinates.  Raises ValueError unless the rows form a 4x4 unimodular
+    basis (IntMatrix refuses ragged rows, the inverse any other shape).
+    """
     if complement is None:
         complement = unimodular_complete(h_rows).entries[len(h_rows):]
-    basis = h_rows + complement
-    if len(basis) != 4 or any(len(row) != 4 for row in basis):
-        raise ValueError("complement rows do not complete the subtorus to a basis")
     try:
-        return complement, invert_unimodular_4x4(IntMatrix(basis))
+        return complement, invert_unimodular_4x4(IntMatrix(h_rows + complement))
     except ValueError:
-        raise ValueError(
-            "complement rows do not complete the subtorus to a basis"
-        ) from None
+        raise ValueError("complement rows do not complete the subtorus to a basis") from None
+
+
+def _validated_pullback(
+    w: IntMatrix,
+    h_rows: Sequence[Sequence[int]],
+    complement: Sequence[Sequence[int]] | None,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Complement rows and pulled-back residual characters of a free
+    subtorus: w is inverted, the subtorus checked for freeness and the
+    residual basis read from its cache, in that order, raising the errors
+    induced_orbit_space lists for them.
+    """
+    w_inv = invert_unimodular_4x4(w)
+    if not subtorus_acts_freely(w, h_rows):
+        raise NotFreeSubtorusError(f"subtorus rows {h_rows}")
+    h = _as_rows(h_rows)
+    c_rows, p_inv = _residual_basis(h, None if complement is None else _as_rows(complement))
+    return c_rows, _pullback_coordinates(w_inv, p_inv, len(h))
 
 
 def induced_stabilizer(
@@ -300,18 +319,14 @@ def induced_stabilizer(
             completion of h_rows.
 
     Raises:
-        ValueError: w is not 4x4 or its determinant is not a unit.
         UnrealizableSupportError: no point of the spheres has this support.
+        ValueError: w is not 4x4 or its determinant is not a unit.
         NotFreeSubtorusError: the subtorus does not act freely.
     """
-    w_inv = invert_unimodular_4x4(w)
     sup = frozenset(support)
     if not is_realizable_support(sup):
         raise UnrealizableSupportError(f"support {sorted(sup)}")
-    if not subtorus_acts_freely(w, h_rows):
-        raise NotFreeSubtorusError(f"subtorus rows {h_rows}")
-    _, p_inv = _residual_basis(h_rows, complement)
-    coords = _pullback_coordinates(w_inv, p_inv, len(h_rows))
+    _, coords = _validated_pullback(w, h_rows, complement)
     return _support_stabilizer(coords, 4 - len(h_rows), sup)
 
 
@@ -351,13 +366,11 @@ def _support_stabilizer(
     """
     off_support = [coords[i] for i in range(4) if i not in sup]
     annihilator = kernel_basis(off_support, m)
-    rank, slopes = m - len(annihilator), kernel_basis(annihilator, m)
-    group = AbelianGroup(rank, ())
-    if len(slopes) != group.free_rank:
-        raise StabilizerRankUnexpectedError(
-            f"support {sorted(sup)}: {len(slopes)} slopes for stabilizer {group}"
-        )
-    return StabilizerSubgroup(group=group, slopes=slopes)
+    # The r rows of the annihilator basis are independent, so the slopes, a
+    # basis of their kernel, number m - r: one per free rank.
+    return StabilizerSubgroup(
+        group=AbelianGroup(m - len(annihilator), ()), slopes=kernel_basis(annihilator, m)
+    )
 
 
 @dataclass(frozen=True)
@@ -413,26 +426,21 @@ def induced_orbit_space(
     of the vertex supports.
 
     Raises:
-        ValueError: w is not 4x4 or its determinant is not a unit.
-        VerificationError: the closed-form inverse of w fails its check.
+        ValueError: w is not 4x4 or its determinant is not a unit, or the
+            complement does not complete the subtorus to a basis.
         NotFreeSubtorusError: the subtorus does not act freely.
-        StabilizerRankUnexpectedError: some stratum has a stabilizer of the
-            wrong rank (signals an invalid character matrix).
+        VerificationError: the closed-form inverse of w fails its check, or
+            a vertex stabilizer is not a 2-torus or an arc stabilizer not a
+            circle, which a unimodular w and a free subtorus rule out.
     """
-    w_inv = invert_unimodular_4x4(w)
-    if not subtorus_acts_freely(w, h_rows):
-        raise NotFreeSubtorusError(f"subtorus rows {h_rows}")
-    c_rows, p_inv = _residual_basis(h_rows, complement)
-    h = len(h_rows)
-    m = 4 - h
-    coords = _pullback_coordinates(w_inv, p_inv, h)
+    c_rows, coords = _validated_pullback(w, h_rows, complement)
     # Only the stabilizer ranks are read here (see _support_stabilizer): at
     # a vertex the rank of its two off-support rows, on an arc whether its
     # one off-support row is nonzero, that row then being the arc's slope.
     for sup, (i, j) in zip(VERTEX_SUPPORTS, _VERTEX_OFF_SUPPORT):
         rank = _pair_rank(coords[i], coords[j])
         if rank != 2:
-            raise StabilizerRankUnexpectedError(
+            raise VerificationError(
                 f"vertex {sorted(sup)} has stabilizer {AbelianGroup(rank, ())}, "
                 "expected a 2-torus"
             )
@@ -440,12 +448,12 @@ def induced_orbit_space(
     for sup, i in zip(ARC_SUPPORTS, _ARC_OFF_SUPPORT):
         row = coords[i]
         if not any(row):
-            raise StabilizerRankUnexpectedError(
+            raise VerificationError(
                 f"arc {sorted(sup)} has stabilizer {AbelianGroup(0, ())}, expected a circle"
             )
         slopes.append(row)
     # The orbit space normalizes each slope once; the arcs reuse its weights.
-    space = WeightedOrbitSpace(m, tuple(slopes))
+    space = WeightedOrbitSpace(4 - len(h_rows), tuple(slopes))
     return IsotropyDiagram(
         orbit_space=space,
         arcs=tuple(ArcStratum(sup, wt) for sup, wt in zip(ARC_SUPPORTS, space.weights)),
@@ -477,14 +485,9 @@ def classify_t2_quotient(p: T2ActionParams) -> ManifoldType:
         VerificationError: diagram type and sign product disagree (an
             implementation fault; never bad user input).
     """
-    freeness = is_free_t2(p)
-    if not freeness.free:
-        raise NotFreeError(freeness.failing)
+    e2, e3, e4 = _free_t2_signs(p)
     diagram = induced_orbit_space(torus_weight_matrix(p), WZ_TORUS)
     mtype = classify_dim4(diagram.orbit_space)
-    # Internal invariant: is_free_t2 sets eps on every free verdict.
-    assert freeness.eps is not None
-    e2, e3, e4 = freeness.eps
     if e2 * e3 * e4 == -1:
         expected = (CP2_PLUS_CP2,)
     else:
@@ -688,8 +691,7 @@ def extend_circle_to_t2(p: CircleActionParams) -> ExtensionOutcome:
         VerificationError: the witness fails the freeness equations (an
             implementation fault).
     """
-    if not is_free_circle(p):
-        raise NotFreeError(f"circle {p} has a common exponent divisor across factors")
+    _require_free_circle(p)
     a, b, c, d = p.a, p.b, p.c, p.d
     values = [
         b * d + s1 * a * c + s2 * a * d + s3 * b * c
@@ -734,9 +736,7 @@ def circle_bundle_total_space(base: T2ActionParams, p: int, q: int) -> ManifoldT
     """
     if gcd(p, q) != 1:
         raise SlopesNotCoprimeError(f"slope ({p},{q})")
-    freeness = is_free_t2(base)
-    if not freeness.free:
-        raise NotFreeError(freeness.failing)
+    _free_t2_signs(base)
     sub = CircleActionParams(
         a=q * base.a - p * base.n,
         b=q * base.b + p * base.k,
@@ -759,13 +759,15 @@ def project_slope_to_residual(
 
     Decomposes the slope over the basis (h_rows, c_rows) and returns the
     complement coefficients, which describe the circle's image in the
-    quotient torus (unreduced, so isotropy orders read off correctly).
+    quotient torus (unreduced, so isotropy orders read off correctly).  The
+    inverse of the basis is the one induced_orbit_space reads, from the same
+    cache.
 
     Raises:
         ValueError: (h_rows, c_rows) is not a 4 x 4 unimodular basis, or the
             circle lies inside the quotiented subtorus.
     """
-    p_inv = invert_unimodular_4x4(IntMatrix.from_rows(list(h_rows) + list(c_rows)))
+    _, p_inv = _residual_basis(_as_rows(h_rows), _as_rows(c_rows))
     coeffs = tuple(
         sum(slope[i] * p_inv.entries[i][j] for i in range(4)) for j in range(4)
     )

@@ -31,8 +31,6 @@ from .orbit_space import (
     _zigzag,
     canonical_form,
     pair_is_legal,
-    sequence_key,
-    weight_key,
 )
 
 CENSUS_COLUMNS = ("weights", "type", "pi1", "realization", "verified")
@@ -65,7 +63,7 @@ def primitive_weights(rank: int, bound: int) -> list[Weight]:
         if entries[next(i for i, e in enumerate(entries) if e)] < 0:
             continue
         out.append(entries)
-    return sorted(out, key=weight_key)
+    return sorted(out, key=lambda w: tuple(map(_zigzag, w)))
 
 
 def _signed_permutation_types(weights: list[Weight]) -> list[int]:
@@ -111,7 +109,7 @@ def _rank2_classes(bound: int) -> list[tuple[Weight, ...]]:
     for i, j, k, l in cycles:
         space = WeightedOrbitSpace(2, (weights[i], weights[j], weights[k], weights[l]))
         classes.add(canonical_form(space).weights)
-    return sorted(classes, key=sequence_key)
+    return sorted(classes, key=lambda ws: tuple(_zigzag(e) for w in ws for e in w))
 
 
 # The residual moves explored per based pair: three diagonal signs and, for
@@ -367,8 +365,8 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
     if not chunks:
         return []
     keys = np.unique(np.concatenate(chunks))
-    # Digits are packed most significant first in the order of sequence_key,
-    # so ascending keys are already the sorted census order.
+    # Digits are zigzag codes packed most significant first, so ascending
+    # keys are already the sorted census order.
     y3s, y4s = _unpack_keys(np.unique(_class_keys(keys)))
     canonical = [
         ((1, 0, 0), (0, 1, 0), tuple(y3), tuple(y4))

@@ -105,7 +105,8 @@ def classify_dim4(s: WeightedOrbitSpace) -> ManifoldType:
     one of the three sphere-bundle/connected-sum types, and more weights a
     connected sum whose summand count is all the weights determine.
 
-    The four-weight type is read off dim4_family of the canonical form.
+    The four-weight type is read off dim4_family of the canonical form,
+    whose search checks the adjacent pairs; other counts check them here.
 
     Raises:
         UnsupportedRankError: rank is not 2.
@@ -115,20 +116,20 @@ def classify_dim4(s: WeightedOrbitSpace) -> ManifoldType:
     """
     if s.rank != 2:
         raise UnsupportedRankError(f"rank {s.rank} orbit space in the 4-manifold classifier")
+    n = s.n_weights
+    if n == 4:
+        family = dim4_family(canonical_form(s).weights)
+        if family == "mixed":
+            return CP2_PLUS_CP2
+        return S2XS2 if family % 2 == 0 else CP2_MINUS_CP2
     # A legal rank-2 pair has determinant +-1, so legality alone makes the
     # manifold simply connected.
     require_legal(s)
-    n = s.n_weights
     if n == 2:
         return S4
     if n == 3:
         return CP2
-    if n > 4:
-        return connected_sum_dim4(n - 2)
-    family = dim4_family(canonical_form(s).weights)
-    if family == "mixed":
-        return CP2_PLUS_CP2
-    return S2XS2 if family % 2 == 0 else CP2_MINUS_CP2
+    return connected_sum_dim4(n - 2)
 
 
 # --- dimension 5

@@ -149,30 +149,26 @@ def _space_from(command: Command, input_index: int = 0) -> WeightedOrbitSpace:
     return WeightedOrbitSpace(rank, parse_weights(str(weights)))
 
 
-def _circle_from(command: Command) -> CircleActionParams:
-    inline = command.flags.get("circle")
-    if inline is not None:
-        a, b, c, d = parse_int_tuple(str(inline), 4)
-        return CircleActionParams(a, b, c, d)
-    if command.inputs:
-        data = _load_json(command.inputs[0])
-        if data.get("kind") != "circle":
-            raise ParseError(f"{command.inputs[0]} is not a circle-action object")
-        return _params_from_fields(CircleActionParams, data, "abcd")
-    raise ParseError("provide a circle-action file or --circle \"(a,b,c,d)\"")
+# Per action kind, which is also its inline flag: the parameter class, its
+# fields in order, and the names of its JSON object and of its file.
+_ACTIONS = {
+    "circle": (CircleActionParams, "abcd", "circle-action", "circle-action"),
+    "t2": (T2ActionParams, "abcdnkml", "two-torus-action", "torus-action"),
+}
 
 
-def _t2_from(command: Command) -> T2ActionParams:
-    inline = command.flags.get("t2")
+def _action_from(command: Command, kind: str):
+    """The action given inline by --KIND or by a JSON file with that kind."""
+    factory, fields, object_name, file_name = _ACTIONS[kind]
+    inline = command.flags.get(kind)
     if inline is not None:
-        a, b, c, d, n, k, m, l = parse_int_tuple(str(inline), 8)
-        return T2ActionParams(a, b, c, d, n=n, k=k, m=m, l=l)
+        return factory(*parse_int_tuple(str(inline), len(fields)))
     if command.inputs:
         data = _load_json(command.inputs[0])
-        if data.get("kind") != "t2":
-            raise ParseError(f"{command.inputs[0]} is not a two-torus-action object")
-        return _params_from_fields(T2ActionParams, data, "abcdnkml")
-    raise ParseError("provide a torus-action file or --t2 \"(a,b,c,d,n,k,m,l)\"")
+        if data.get("kind") != kind:
+            raise ParseError(f"{command.inputs[0]} is not a {object_name} object")
+        return _params_from_fields(factory, data, fields)
+    raise ParseError(f"provide a {file_name} file or --{kind} \"({','.join(fields)})\"")
 
 
 def _params_from_fields(factory, data: Mapping, fields: str):
@@ -278,7 +274,7 @@ _EXTEND_RESULTS = {
 
 
 def _run_extend(command: Command) -> RunResult:
-    outcome = extend_circle_to_t2(_circle_from(command))
+    outcome = extend_circle_to_t2(_action_from(command, "circle"))
     result, status = _EXTEND_RESULTS[outcome.status]
     payload = {
         "verb": "extend",
@@ -293,7 +289,7 @@ def _run_extend(command: Command) -> RunResult:
 
 
 def _run_bundle(command: Command) -> RunResult:
-    base = _t2_from(command)
+    base = _action_from(command, "t2")
     slope = command.flags.get("slope")
     if slope is None:
         raise ParseError("bundle requires --slope \"(p,q)\"")

@@ -93,11 +93,6 @@ class UnrealizableSupportError(TorusOrbitsError):
     factors, so no point of the space has exactly that support."""
 
 
-class StabilizerRankUnexpectedError(TorusOrbitsError):
-    """An induced stratum stabilizer does not have the structure a free
-    action forces (circle on arcs, 2-torus at vertices)."""
-
-
 class NotRealizableError(TorusOrbitsError):
     """No action in the implemented families induces the requested orbit
     space."""
@@ -110,9 +105,10 @@ class SlopesNotCoprimeError(TorusOrbitsError):
 class VerificationError(TorusOrbitsError):
     """A certificate the library computes before returning did not hold, for
     example the realized action does not induce the requested orbit space,
-    a canonical form is in no family, or the recovered parameters or the
-    sign invariant contradict the weights.  Indicates an implementation
-    fault, never bad user input."""
+    a canonical form is in no family, the recovered parameters or the sign
+    invariant contradict the weights, or an induced stratum stabilizer of a
+    free subtorus is not a circle on an arc or a 2-torus at a vertex.
+    Indicates an implementation fault, never bad user input."""
 
 
 class PackedKeyLimitError(TorusOrbitsError):

@@ -436,6 +436,17 @@ def invert_unimodular_4x4(m: IntMatrix) -> IntMatrix:
     return IntMatrix(inverse)
 
 
+def _reduce_against(w: Sequence[int], hermite: Sequence[Vector]) -> Vector:
+    """w with each pivot entry of a Hermite basis brought into [0, pivot),
+    row by row: the one reduction of every completion row."""
+    for row in hermite:
+        pivot = next(j for j, e in enumerate(row) if e)
+        q = w[pivot] // row[pivot]
+        if q:
+            w = [a - q * b for a, b in zip(w, row)]
+    return tuple(w)
+
+
 def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
     """Extend k independent integer n-vectors to a determinant +-1 matrix.
 
@@ -463,16 +474,8 @@ def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
             f"rows span a sublattice with invariant factors {snf.diagonal}"
         )
     vinv = invert_unimodular(snf.V)
-    completion = [list(vinv.entries[i]) for i in range(k, n)]
-    reduced_basis = hermite_normal_form(vecs, n)
-    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in reduced_basis]
-    for w in completion:
-        for row, c in zip(reduced_basis, pivots):
-            q = w[c] // row[c]
-            if q:
-                for j in range(n):
-                    w[j] -= q * row[j]
-    out = IntMatrix.from_rows(vecs + [tuple(w) for w in completion])
+    hermite = hermite_normal_form(vecs, n)
+    out = IntMatrix(tuple(vecs) + tuple(_reduce_against(w, hermite) for w in vinv.entries[k:]))
     if abs(determinant(out)) != 1:
         raise VerificationError(f"completion {out.entries} is not unimodular")
     return out

@@ -32,6 +32,7 @@ from .lattice import (
     IntMatrix,
     determinant,
     gcd_ext,
+    _reduce_against,
     hermite_normal_form,
     quotient_group,
     smith_normal_form,
@@ -199,19 +200,16 @@ def pi1_bound(s: WeightedOrbitSpace) -> AbelianGroup:
 # --- canonical forms
 #
 # Total order on weight sequences: compare entry by entry under
-# 0 < 1 < -1 < 2 < -2 < ..., i.e. by (|e|, sign), weights lexicographically,
+# 0 < 1 < -1 < 2 < -2 < ..., i.e. by zigzag code, weights lexicographically,
 # sequences lexicographically.  The canonical form of an orbit space is the
 # minimum over its symmetry class, so small nonnegative entries come first.
 
 
-def entry_key(e: int) -> tuple[int, int]:
-    return (abs(e), 0 if e >= 0 else 1)
-
-
 def _zigzag(e):
-    """Code of an entry in entry_key order: 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
+    """Code of an entry in the entry order: 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
 
     Plain arithmetic, so it maps Python ints and integer numpy arrays alike.
+    The one statement of the order: sequences sort by their zigzag tuples.
     """
     return 2 * abs(e) - (e > 0)
 
@@ -219,16 +217,6 @@ def _zigzag(e):
 def _unzigzag(code):
     """The entry with the given zigzag code; the inverse of _zigzag."""
     return (2 * (code % 2) - 1) * ((code + 1) // 2)
-
-
-def weight_key(w: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple(entry_key(e) for e in w)
-
-
-def sequence_key(
-    weights: Iterable[Sequence[int]],
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(weight_key(w) for w in weights)
 
 
 def _cross(x: Sequence[int], y: Sequence[int]) -> Weight:
@@ -320,8 +308,8 @@ def _least(pairs: list, rank: int) -> tuple[tuple[int, ...], list]:
 
 def _start_key(seq: tuple[Weight, ...], rank: int) -> tuple[int, ...]:
     """Least key of one start (seq[0], seq[1] sent to e1, e2): the entries of
-    the sign-normalized images, zigzag-coded, so flat keys compare in
-    sequence_key order.
+    the sign-normalized images, zigzag-coded, so flat keys compare in the
+    entry order.
 
     The based e1 and e2 normalize to themselves under every residual move,
     so only weights 3..n enter the key.  At rank 3 it begins with the block
@@ -399,7 +387,7 @@ def _completion_row(x: Weight, y: Weight) -> Weight:
     With U [x; y] V = D the Smith form, unimodular_complete takes row 2 of
     V^-1.  For a unimodular V, V^-1 = det(V) adj(V), and row 2 of adj(V) is
     V_col0 ^ V_col1, so z0 = det(V) (V_col0 ^ V_col1).  It is then reduced
-    against the Hermite basis of x, y by the same loop.
+    against the Hermite basis of x, y by the same lattice._reduce_against.
 
     Raises:
         VerificationError: (x ^ y) . z0 is not +-1 (an implementation fault).
@@ -407,15 +395,10 @@ def _completion_row(x: Weight, y: Weight) -> Weight:
     col0, col1, col2 = zip(*smith_normal_form(IntMatrix((x, y))).V.entries)
     c = _cross(col0, col1)
     det_v = sum(map(mul, c, col2))
-    z = [det_v * e for e in c]
-    for row in hermite_normal_form((x, y), 3):
-        pivot = next(j for j, e in enumerate(row) if e)
-        q = z[pivot] // row[pivot]
-        if q:
-            z = [a - q * b for a, b in zip(z, row)]
+    z = _reduce_against([det_v * e for e in c], hermite_normal_form((x, y), 3))
     if sum(map(mul, _cross(x, y), z)) not in (1, -1):
         raise VerificationError(f"completion row {z} of {x}, {y} is not unimodular")
-    return tuple(z)
+    return z
 
 
 def canonical_form(s: WeightedOrbitSpace, oriented: bool = False) -> WeightedOrbitSpace:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusorbits.biquotient as biquotient
+import torusorbits.lattice as lattice
 import torusorbits.orbit_space as orbit_space
 from torusorbits.biquotient import (
     ARC_SUPPORTS,
@@ -64,7 +65,6 @@ from torusorbits.errors import (
     NotFreeSubtorusError,
     NotRealizableError,
     SlopesNotCoprimeError,
-    StabilizerRankUnexpectedError,
     UnrealizableSupportError,
     UnsupportedRankError,
     UnsupportedWeightCountError,
@@ -302,7 +302,7 @@ def test_vertex_rank_check_raises(monkeypatch):
         return coords[:3] + (coords[1],)
 
     monkeypatch.setattr(biquotient, "_pullback_coordinates", parallel)
-    with pytest.raises(StabilizerRankUnexpectedError, match="vertex"):
+    with pytest.raises(VerificationError, match="vertex"):
         induced_orbit_space(torus_weight_matrix(DIM5_EXAMPLE), Z_CIRCLE, E3_COMPLEMENT)
 
 
@@ -742,6 +742,28 @@ def test_orbifold_orders():
             orders = circle_quotient_orbifold_orders(r, s)
             assert orders == (2, abs(2 * (r - s) + 1), 2, abs(2 * (r + s) + 1))
             assert sorted(orders) == sorted([2, 2, abs(2 * (r + s) + 1), abs(2 * (r - s) + 1)])
+
+
+def test_orbifold_orders_invert_each_basis_once(monkeypatch):
+    # The identity character matrix and the basis [h; c] are inverted once
+    # each: project_slope_to_residual reads the basis inverse that
+    # induced_orbit_space cached.
+    biquotient._residual_basis.cache_clear()
+    calls = count_calls(monkeypatch, lattice, "invert_unimodular_4x4")
+    assert circle_quotient_orbifold_orders(2, 1) == (2, 3, 2, 7)
+    assert len(calls) == 2
+
+
+def test_project_slope_needs_a_basis():
+    slope = (0, 0, 1, 0)
+    for c_rows in (
+        ((1, 0, 0, 0), (1, 0, 0, 0)),
+        ((2, 0, 0, 0), (0, 1, 0, 0)),
+        ((1, 0, 0, 0),),
+        ((1, 0, 0), (0, 1, 0)),
+    ):
+        with pytest.raises(ValueError, match="complete the subtorus to a basis"):
+            project_slope_to_residual(WZ_TORUS, c_rows, slope)
 
 
 def test_orbifold_presentation_consistency():

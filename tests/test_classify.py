@@ -146,6 +146,19 @@ def test_four_weight_classify_dim4_runs_canonical_form_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_four_weight_classify_dim4_checks_adjacency_once(monkeypatch):
+    # canonical_form's search checks the adjacent pairs; classify_dim4 does
+    # not check them again, and still refuses an illegal input.
+    calls = count_calls(monkeypatch, orbit_space, "_failing_pairs")
+    s = random_symmetry_move(random.Random(5), space(2, (1, 0), (0, 1), (1, 0), (3, 1)))
+    assert classify_dim4(s) == CP2_MINUS_CP2
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(IllegalOrbitSpaceError, match="failing adjacent pairs"):
+        classify_dim4(space(2, (1, 0), (0, 1), (1, 0), (1, 2)))
+    assert len(calls) == 1
+
+
 def test_dim4_family_reads_the_two_canonical_forms():
     assert dim4_family(((1, 0), (0, 1), (1, 1), (2, 1))) == "mixed"
     for k in range(6):

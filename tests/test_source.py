@@ -1,6 +1,7 @@
 """Source-level checks on the package modules."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import torusorbits
@@ -76,3 +77,86 @@ def test_no_assertion_error_and_every_error_class_is_raised():
 def test_the_raise_lint_reads_names_and_calls():
     source = "try:\n    raise A\nexcept A:\n    raise\nraise B('x') from None\nraise c.D()\n"
     assert _raised_names(source) == {"A", "B"}
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _package_reads(source):
+    """Dotted names a source reads from the package: `from torusorbits.X
+    import a` gives torusorbits.X.a, and an attribute chain off a name that
+    `import torusorbits...` binds gives the chain, `cli.run` under
+    `import torusorbits.cli as cli` torusorbits.cli.run.  String constants
+    that parse as Python, the `-c` programs of child processes, are read
+    too."""
+    reads, roots, trees = set(), {}, [ast.parse(source)]
+    for node in ast.walk(trees[0]):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if "torusorbits" in node.value:
+                try:
+                    trees.append(ast.parse(node.value))
+                except SyntaxError:
+                    pass
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("torusorbits"):
+                reads |= {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "torusorbits":
+                        roots[alias.asname or "torusorbits"] = alias.asname and alias.name
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in roots:
+                reads.add(".".join([roots[node.id] or node.id, *chain]))
+    return reads
+
+
+def _resolves(dotted):
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 1):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[: i + 1]))
+            except ImportError:
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    # The benchmark imports the package by name; renaming a name it reads
+    # breaks the benchmark run, which the rest of the suite never starts.
+    paths = sorted(BENCH.glob("*.py"))
+    assert paths
+    reads = {(path.name, name) for path in paths for name in _package_reads(path.read_text())}
+    assert ("workloads.py", "torusorbits.cli.run") in reads
+    assert ("workloads.py", "torusorbits.cli.main") in reads
+    assert [(path, name) for path, name in sorted(reads) if not _resolves(name)] == []
+
+
+def test_the_benchmark_lint_reads_imports_attributes_and_programs():
+    source = (
+        "import torusorbits.cli as cli\n"
+        "import torusorbits.lattice\n"
+        "from torusorbits.biquotient import gone\n"
+        "cli.run(cli.Command.x)\n"
+        "torusorbits.lattice.IntMatrix\n"
+        "other.attr\n"
+        "LAUNCH = 'from torusorbits.cli import main; main()'\n"
+    )
+    assert _package_reads(source) == {
+        "torusorbits.cli.run",
+        "torusorbits.cli.Command",
+        "torusorbits.cli.Command.x",
+        "torusorbits.lattice",
+        "torusorbits.lattice.IntMatrix",
+        "torusorbits.biquotient.gone",
+        "torusorbits.cli.main",
+    }
+    assert _resolves("torusorbits.cli.run") and _resolves("torusorbits.lattice.IntMatrix")
+    assert not _resolves("torusorbits.biquotient.gone")
