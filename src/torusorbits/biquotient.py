@@ -45,6 +45,7 @@ from .errors import (
 from .lattice import (
     AbelianGroup,
     IntMatrix,
+    _integers,
     gcd_ext,
     invert_unimodular_4x4,
     kernel_basis,
@@ -227,7 +228,7 @@ def subtorus_acts_freely(w: IntMatrix, h_rows: Sequence[Sequence[int]]) -> bool:
     exponents coprime; h = 2 needs |det| = 1; h > 2 exceeds the block's rank
     and is never free.
     """
-    e = [tuple(int(x) for x in row) for row in h_rows]
+    e = tuple(map(_integers, h_rows))
     if any(len(row) != 4 for row in e):
         raise ValueError("subtorus rows must have 4 entries")
     if len(e) > 2:
@@ -252,10 +253,6 @@ class StabilizerSubgroup:
 
     group: AbelianGroup
     slopes: tuple[tuple[int, ...], ...]
-
-
-def _as_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 @lru_cache(maxsize=64)
@@ -288,10 +285,11 @@ def _validated_pullback(
     induced_orbit_space lists for them.
     """
     w_inv = invert_unimodular_4x4(w)
-    if not subtorus_acts_freely(w, h_rows):
+    h = tuple(map(_integers, h_rows))
+    if not subtorus_acts_freely(w, h):
         raise NotFreeSubtorusError(f"subtorus rows {h_rows}")
-    h = _as_rows(h_rows)
-    c_rows, p_inv = _residual_basis(h, None if complement is None else _as_rows(complement))
+    c = None if complement is None else tuple(map(_integers, complement))
+    c_rows, p_inv = _residual_basis(h, c)
     return c_rows, _pullback_coordinates(w_inv, p_inv, len(h))
 
 
@@ -767,7 +765,8 @@ def project_slope_to_residual(
         ValueError: (h_rows, c_rows) is not a 4 x 4 unimodular basis, or the
             circle lies inside the quotiented subtorus.
     """
-    _, p_inv = _residual_basis(_as_rows(h_rows), _as_rows(c_rows))
+    _, p_inv = _residual_basis(tuple(map(_integers, h_rows)), tuple(map(_integers, c_rows)))
+    slope = _integers(slope)
     coeffs = tuple(
         sum(slope[i] * p_inv.entries[i][j] for i in range(4)) for j in range(4)
     )

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 from operator import mul
 
@@ -22,7 +22,6 @@ import numpy as np
 from .biquotient import T2ActionParams, realize_dim4, realize_dim5
 from .classify import Dim5Params, ManifoldType, circle_quotient_type, classify_dim4
 from .errors import PackedKeyLimitError, UnsupportedRankError, VerificationError
-from .lattice import AbelianGroup
 from .orbit_space import (
     Weight,
     WeightedOrbitSpace,
@@ -30,6 +29,7 @@ from .orbit_space import (
     _unzigzag,
     _zigzag,
     canonical_form,
+    format_weights,
     pair_is_legal,
 )
 
@@ -43,11 +43,12 @@ _ENTRY_LIMIT = 500
 
 @dataclass(frozen=True)
 class CensusRow:
+    """A census class.  _build_row returns one only if its checks pass, so
+    its pi1 and verified columns are the constants "1" and true."""
+
     weights: tuple[Weight, ...]
     manifold_type: ManifoldType
-    pi1: str
     realization: T2ActionParams | Dim5Params
-    verified: bool
 
 
 def primitive_weights(rank: int, bound: int) -> list[Weight]:
@@ -68,11 +69,19 @@ def primitive_weights(rank: int, bound: int) -> list[Weight]:
 
 def _signed_permutation_types(weights: list[Weight]) -> list[int]:
     """Per box weight, the index of the first weight in its orbit under
-    signed coordinate permutations: the orbit representative.
+    signed coordinate permutations: the weight's type.
 
     Up to sign normalization, a weight's orbit is every weight with the same
     multiset of absolute entries.  The representatives are the weights whose
     type is their own index.
+
+    Both census ranks keep one ordered cycle (x1, x2, x3, x4) per class by
+    these types.  Signed coordinate permutations lie in GL(rank, Z), map the
+    box onto itself and keep each weight's type.  So every class has a cycle
+    that starts at a weight of the smallest type among its four, moved to
+    that type's representative; and reversing the cycle with x1 fixed swaps
+    x2 and x4.  Only cycles with x1 a representative, no type below x1's,
+    and x4 not before x2 in box order are kept.
     """
     first: dict[tuple[int, ...], int] = {}
     return [
@@ -82,33 +91,21 @@ def _signed_permutation_types(weights: list[Weight]) -> list[int]:
 
 
 def _rank2_classes(bound: int) -> list[tuple[Weight, ...]]:
+    """Canonical forms of the legal four-weight cycles in the box, read off
+    the cycles that _signed_permutation_types keeps."""
     weights = primitive_weights(2, bound)
-    n = len(weights)
-    neighbors = [
-        [j for j in range(n) if pair_is_legal(weights[i], weights[j])]
-        for i in range(n)
-    ]
+    neighbors = [[j for j, y in enumerate(weights) if pair_is_legal(x, y)] for x in weights]
     neighbor_sets = [set(nb) for nb in neighbors]
-    cycles = set()
-    # As in _rank3_classes: the box is invariant under signed coordinate
-    # permutations, which lie in GL(2, Z), so every class has a cycle whose
-    # first weight is an orbit representative.
     types = _signed_permutation_types(weights)
-    for i in (i for i, t in enumerate(types) if t == i):
-        for j in neighbors[i]:
-            for k in neighbors[j]:
-                for l in neighbors[k]:
-                    if i not in neighbor_sets[l]:
-                        continue
-                    cycle = (i, j, k, l)
-                    starts = [tuple(cycle[(p + r) % 4] for p in range(4)) for r in range(4)]
-                    rev = cycle[::-1]
-                    starts += [tuple(rev[(p + r) % 4] for p in range(4)) for r in range(4)]
-                    cycles.add(min(starts))
     classes = set()
-    for i, j, k, l in cycles:
-        space = WeightedOrbitSpace(2, (weights[i], weights[j], weights[k], weights[l]))
-        classes.add(canonical_form(space).weights)
+    for i in (i for i, t in enumerate(types) if t == i):
+        around = [j for j in neighbors[i] if types[j] >= i]
+        # around is ascending, so l = x4 is not before j = x2.
+        for j, l in combinations_with_replacement(around, 2):
+            for k in neighbors[j]:
+                if types[k] >= i and k in neighbor_sets[l]:
+                    cycle = (weights[i], weights[j], weights[k], weights[l])
+                    classes.add(canonical_form(WeightedOrbitSpace(2, cycle)).weights)
     return sorted(classes, key=lambda ws: tuple(_zigzag(e) for w in ws for e in w))
 
 
@@ -296,13 +293,8 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
     under any unimodular map applied to all four weights.  A class's
     canonical form is the minimum of the keys of the eight dihedral starts
     of any of its cycles, and those are computed from each distinct key
-    directly, so one ordered cycle per class is enough.  The box is
-    invariant under signed coordinate permutations, which preserve each
-    weight's type (its orbit representative, _signed_permutation_types).
-    So every class has a cycle that starts at a weight of the smallest type
-    among its four, moved to that weight's representative; and reversing the
-    cycle with x1 fixed swaps x2 and x4.  Only cycles with x1 a
-    representative, no type below x1's, and x4 not before x2 are keyed.
+    directly, so one ordered cycle per class is enough: only the cycles that
+    _signed_permutation_types keeps are keyed.
     """
     # The third based coordinates are the triple determinants
     # det(w_i, w_j, w_k) = cross[i, j] . w[k], so they bound the packed
@@ -403,13 +395,7 @@ def _build_row(rank: int, canon: tuple[Weight, ...]) -> CensusRow:
         mtype = circle_quotient_type(realization.a, realization.b, realization.c, realization.d)
     # realize_* verify the induced orbit space against the input before
     # returning, so reaching this point certifies the round trip.
-    return CensusRow(
-        weights=canon,
-        manifold_type=mtype,
-        pi1=str(AbelianGroup(0)),
-        realization=realization,
-        verified=True,
-    )
+    return CensusRow(weights=canon, manifold_type=mtype, realization=realization)
 
 
 def run_census(rank: int, bound: int) -> tuple[CensusRow, ...]:
@@ -428,10 +414,6 @@ def run_census(rank: int, bound: int) -> tuple[CensusRow, ...]:
 
 
 # --- serialization
-
-
-def format_weights(weights: tuple[Weight, ...]) -> str:
-    return ",".join("(" + ",".join(str(e) for e in w) + ")" for w in weights)
 
 
 def realization_payload(realization: T2ActionParams | Dim5Params) -> dict:
@@ -464,9 +446,9 @@ def census_ndjson(rows: tuple[CensusRow, ...], rank: int, bound: int) -> str:
                 {
                     "weights": [list(w) for w in row.weights],
                     "type": str(row.manifold_type),
-                    "pi1": row.pi1,
+                    "pi1": "1",
                     "realization": realization_payload(row.realization),
-                    "verified": row.verified,
+                    "verified": True,
                 }
             )
         )
@@ -478,9 +460,9 @@ def _row_cells(row: CensusRow) -> list[str]:
     return [
         format_weights(row.weights),
         str(row.manifold_type),
-        row.pi1,
+        "1",
         _dump(realization_payload(row.realization)),
-        "true" if row.verified else "false",
+        "true",
     ]
 
 

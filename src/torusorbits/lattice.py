@@ -2,19 +2,33 @@
 
 Everything in this module is deterministic: pivot choices and normalizations
 are fixed so that repeated runs (and the census built on top) are
-byte-for-byte reproducible.
+byte-for-byte reproducible.  Integer input is read by operator.index
+(_integers) throughout the package: a float or a string is refused with a
+ValueError naming it, never truncated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .errors import NonSquareMatrixError, NotCompletableError, VerificationError
 
 Vector = tuple[int, ...]
+
+
+def _integers(entries: Iterable) -> Vector:
+    """The entries as ints; ints and integer scalars such as numpy.int64
+    pass, and the first other entry raises ValueError."""
+    try:
+        return tuple(map(index, entries))
+    except TypeError:
+        for e in entries:
+            if not hasattr(type(e), "__index__"):
+                raise ValueError(f"entry {e!r} is not an integer") from None
+        raise
 
 
 def gcd_ext(a: int, c: int) -> tuple[int, int, int]:
@@ -64,7 +78,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(map(_integers, rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -458,7 +472,7 @@ def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
         NotCompletableError: the rows do not span a direct summand of Z^n
             (some invariant factor differs from 1).
     """
-    vecs = [tuple(int(x) for x in v) for v in vectors]
+    vecs = tuple(map(_integers, vectors))
     if not vecs:
         raise ValueError("need at least one row")
     n = len(vecs[0])
@@ -467,15 +481,14 @@ def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
     k = len(vecs)
     if k > n:
         raise ValueError(f"{k} rows cannot extend to a {n}x{n} basis")
-    a = IntMatrix.from_rows(vecs)
-    snf = smith_normal_form(a)
+    snf = smith_normal_form(IntMatrix(vecs))
     if snf.rank != k or any(f != 1 for f in snf.invariant_factors):
         raise NotCompletableError(
             f"rows span a sublattice with invariant factors {snf.diagonal}"
         )
     vinv = invert_unimodular(snf.V)
     hermite = hermite_normal_form(vecs, n)
-    out = IntMatrix(tuple(vecs) + tuple(_reduce_against(w, hermite) for w in vinv.entries[k:]))
+    out = IntMatrix(vecs + tuple(_reduce_against(w, hermite) for w in vinv.entries[k:]))
     if abs(determinant(out)) != 1:
         raise VerificationError(f"completion {out.entries} is not unimodular")
     return out

@@ -32,6 +32,7 @@ from .lattice import (
     IntMatrix,
     determinant,
     gcd_ext,
+    _integers,
     _reduce_against,
     hermite_normal_form,
     quotient_group,
@@ -50,7 +51,7 @@ def normalize_weight(w: Sequence[int]) -> Weight:
     Raises:
         ValueError: the vector is zero (no circle subgroup).
     """
-    v = tuple(int(x) for x in w)
+    v = _integers(w)
     g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector is not a weight")
@@ -96,8 +97,12 @@ class WeightedOrbitSpace:
         return WeightedOrbitSpace(self.rank, self.weights[k:] + self.weights[:k])
 
     def __str__(self) -> str:
-        inner = ",".join("(" + ",".join(str(x) for x in w) + ")" for w in self.weights)
-        return f"rank {self.rank}: {inner}"
+        return f"rank {self.rank}: {format_weights(self.weights)}"
+
+
+def format_weights(weights: Iterable[Sequence[int]]) -> str:
+    """Weights as "(a,b),(c,d),...", the form the command line reads."""
+    return ",".join("(" + ",".join(str(e) for e in w) + ")" for w in weights)
 
 
 def reversed_space(s: WeightedOrbitSpace) -> WeightedOrbitSpace:

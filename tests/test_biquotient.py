@@ -1,6 +1,7 @@
 """Tests for torus actions on the product of two 3-spheres."""
 
 import random
+import re
 import subprocess
 import sys
 from itertools import product
@@ -79,6 +80,7 @@ from torusorbits.lattice import (
     gcd_ext,
     invert_unimodular,
     smith_normal_form,
+    unimodular_complete,
 )
 from torusorbits.orbit_space import WeightedOrbitSpace, are_equivalent, normalize_weight
 
@@ -631,6 +633,42 @@ def test_extension_obstructed_family():
         assert out.status is ExtensionStatus.NECESSARY_CONDITION_FAILS
 
 
+def brute_extension_in_box(a, b, c, d, radius=25):
+    """A solution (m, n, k, l) in [-radius, radius]^4 of the extension
+    equations a*m + c*n = 1 and |a*l + d*n| = |b*m - c*k| = |b*l - d*k| = 1,
+    by search, or None."""
+    box = range(-radius, radius + 1)
+    for m, n in product(box, repeat=2):
+        if a * m + c * n != 1:
+            continue
+        for k in box:
+            if abs(b * m - c * k) != 1:
+                continue
+            for l in box:
+                if abs(a * l + d * n) == 1 and abs(b * l - d * k) == 1:
+                    return (m, n, k, l)
+    return None
+
+
+def test_no_solution_is_a_proved_negative():
+    # Every free circle in [-5, 5]^4 whose sign equations the solver finds
+    # unsolvable passes the necessary condition, yet no (m, n, k, l) in
+    # [-25, 25]^4 solves them.
+    proved = []
+    for a, b, c, d in product(range(-5, 6), repeat=4):
+        p = CircleActionParams(a, b, c, d)
+        if (a, b, c, d) == (0, 0, 0, 0) or not is_free_circle(p):
+            continue
+        out = extend_circle_to_t2(p)
+        if out.status is ExtensionStatus.NO_SOLUTION:
+            assert out.witness is None
+            proved.append((a, b, c, d))
+    assert (5, 5, 2, 1) in proved and (2, 1, 5, 5) in proved
+    assert [p for p in proved if brute_extension_in_box(*p) is not None] == []
+    # The search finds the solutions that exist, as for an extended circle.
+    assert brute_extension_in_box(2, 1, 1, 3) is not None
+
+
 def brute_extension_exists(a, b, c, d, window=6):
     """Bounded search over the Bezout line and small shears."""
     g, m0, n0 = gcd_ext(a, c)
@@ -732,6 +770,50 @@ def test_input_guards_hold_under_optimized_python():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+W_SPLIT = torus_weight_matrix(split_t2_family(1, 0))
+
+# Each entry point that reads integer entries, with x at one entry; x = 1
+# makes a valid call.
+INTEGER_ENTRY_POINTS = {
+    "normalize_weight": lambda x: normalize_weight((x, 2)),
+    "WeightedOrbitSpace": lambda x: WeightedOrbitSpace(2, ((x, 0), (0, 1), (1, 0), (0, 1))),
+    "IntMatrix.from_rows": lambda x: IntMatrix.from_rows([[x, 2]]),
+    "unimodular_complete": lambda x: unimodular_complete([(x, 2)]),
+    "subtorus_acts_freely": lambda x: subtorus_acts_freely(W_SPLIT, ((0, 0, x, 0), (0, 0, 0, 1))),
+    "induced_orbit_space subtorus": lambda x: induced_orbit_space(
+        W_SPLIT, ((0, 0, x, 0), (0, 0, 0, 1))
+    ),
+    "induced_orbit_space complement": lambda x: induced_orbit_space(
+        W_SPLIT, WZ_TORUS, ((x, 0, 0, 0), (0, 1, 0, 0))
+    ),
+    "induced_stabilizer": lambda x: induced_stabilizer(
+        W_SPLIT, ((0, 0, x, 0), (0, 0, 0, 1)), {0, 1, 3}, E2_COMPLEMENT
+    ),
+    "project_slope_to_residual subtorus": lambda x: project_slope_to_residual(
+        ((0, 0, x, 0), (0, 0, 0, 1)), E2_COMPLEMENT, (1, 0, 0, 0)
+    ),
+    "project_slope_to_residual complement": lambda x: project_slope_to_residual(
+        WZ_TORUS, ((x, 0, 0, 0), (0, 1, 0, 0)), (1, 0, 0, 0)
+    ),
+    "project_slope_to_residual slope": lambda x: project_slope_to_residual(
+        WZ_TORUS, E2_COMPLEMENT, (x, 0, 0, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_point", INTEGER_ENTRY_POINTS)
+def test_entry_points_refuse_non_integers(entry_point):
+    # operator.index is the one integer rule: a float or a string is refused
+    # with a ValueError naming it, never truncated, and numpy integers give
+    # the same answer, in Python ints, as ints do.
+    call = INTEGER_ENTRY_POINTS[entry_point]
+    expected = repr(call(1))
+    assert repr(call(np.int64(1))) == expected
+    for bad in (1.0, 1.9, "1"):
+        with pytest.raises(ValueError, match=re.escape(f"entry {bad!r} is not an integer")):
+            call(bad)
 
 
 def test_orbifold_orders():

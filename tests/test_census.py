@@ -6,6 +6,8 @@ dedup by exact canonicalization only.  They share no dedup logic with the
 production pipeline.
 """
 
+import csv
+import io
 import json
 import os
 import random
@@ -136,7 +138,7 @@ def test_census_row_refuses_weights_that_do_not_span():
     # weights span Z^rank, so the pi1 column is the trivial pi1_bound.
     for rank in (2, 3):
         for row in run_census(rank, 1):
-            assert row.pi1 == str(pi1_bound(WeightedOrbitSpace(rank, row.weights))) == "1"
+            assert str(pi1_bound(WeightedOrbitSpace(rank, row.weights))) == "1"
     index_2 = (
         (2, ((1, 0), (1, 2), (1, 0), (1, 2))),
         (3, ((1, 0, 0), (0, 1, 0), (1, 0, 2), (0, 1, 2))),
@@ -178,6 +180,24 @@ def test_rank3_bound1_contents():
 
 def test_rank3_bound2_count_regression():
     assert len(_rank3_classes(2)) == 945
+
+
+def test_chunked_key_reduction_keeps_the_classes(monkeypatch):
+    # Past _REDUCE_CHUNK keyed cycles the keys gathered so far are reduced
+    # to their distinct values; a small chunk makes bound 2 reduce often.
+    expected = _rank3_classes(2)
+    reductions = []
+    unique = np.unique
+
+    def counted(keys):
+        reductions.append(len(keys))
+        return unique(keys)
+
+    monkeypatch.setattr(census, "_REDUCE_CHUNK", 1_000)
+    monkeypatch.setattr(census.np, "unique", counted)
+    assert _rank3_classes(2) == expected
+    # Two reductions run at any chunk size: the final one and the class keys.
+    assert len(reductions) > 2
 
 
 def test_type_ordered_enumeration_matches_the_unrestricted_loop():
@@ -323,9 +343,15 @@ def test_rows_sorted_verified_simply_connected():
         keys = [zigzag_key(row.weights) for row in rows]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(rows)
-        for row in rows:
-            assert row.verified is True
-            assert row.pi1 == "1"
+        # A row exists only if its checks passed, so both serializations
+        # write the pi1 and verified columns as constants.
+        records = [json.loads(line) for line in census_ndjson(rows, rank, bound).splitlines()[1:]]
+        cells = list(csv.reader(io.StringIO(census_csv(rows))))[1:]
+        pi1, verified = CENSUS_COLUMNS.index("pi1"), CENSUS_COLUMNS.index("verified")
+        for row, record, line in zip(rows, records, cells, strict=True):
+            assert record["pi1"] == line[pi1] == "1"
+            assert record["verified"] is True
+            assert line[verified] == "true"
             assert realization_payload(row.realization)["kind"] == kind
 
 

@@ -88,6 +88,35 @@ def test_extend_obstruction_example(capsys):
     assert "NoExtension(NecessaryConditionFails)" in out
 
 
+@pytest.mark.parametrize("circle", ["(5,5,2,1)", "(2,1,5,5)"])
+def test_extend_no_solution_example(capsys, circle):
+    # The necessary condition holds, but the sign equations have no integer
+    # solution (test_biquotient cross-checks this by search).
+    code, out, _ = invoke(capsys, "extend", "--circle", circle)
+    assert code == EXIT_NEGATIVE
+    assert "result: NoExtension(NoSolution)" in out.splitlines()
+
+
+def test_classify_count_and_pi1_lines(capsys):
+    code, out, _ = invoke(
+        capsys, "classify", "--rank", "2", "--weights", "(1,0),(0,1),(1,0),(0,1),(1,1)"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == ["type: ConnectedSumDim4(3)", "rank: 2", "count: 3"]
+    code, out, _ = invoke(
+        capsys, "classify", "--rank", "3", "--weights", "(1,0,0),(0,1,0),(1,1,2)"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == ["type: NotSimplyConnected(Z/2)", "rank: 3", "pi1: Z/2"]
+
+
+def test_library_value_error_exits_3(capsys):
+    code, out, err = invoke(capsys, "canon", "--rank", "3", "--weights", "(1,0),(0,1),(1,1)")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err == "error: weight (1, 0) does not have 3 entries\n"
+
+
 def test_extend_success(capsys):
     code, out, _ = invoke(capsys, "extend", "--circle", "(1,1,1,2)", "--format", "json")
     assert code == EXIT_OK

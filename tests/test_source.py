@@ -79,6 +79,57 @@ def test_the_raise_lint_reads_names_and_calls():
     assert _raised_names(source) == {"A", "B"}
 
 
+def _int_calls(source):
+    """(function, line) of each int(...) call whose one argument is not a
+    comparison, naming the innermost function that holds it ("" at module
+    level)."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "int"
+                and not (
+                    len(child.args) == 1
+                    and not child.keywords
+                    and isinstance(child.args[0], ast.Compare)
+                )
+            ):
+                out.append((owner, child.lineno))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else owner)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_int_calls_only_read_comparisons():
+    # operator.index is the one integer rule (lattice._integers): int(x)
+    # truncates 2.7 to 2, so src calls int only on a comparison, as in
+    # int(i == j), and where the command line parses text.
+    found = [
+        (path.name, owner, line)
+        for path in MODULES
+        for owner, line in _int_calls(path.read_text())
+    ]
+    assert [f for f in found if f[:2] != ("cli.py", "_int_entries")] == []
+
+
+def test_the_int_lint_catches_int_of_a_value():
+    source = (
+        "def f(x, i, j):\n"
+        "    a = int(i == j)\n"
+        "    return int(x)\n"
+        "class C:\n"
+        "    def g(self, s):\n"
+        "        return int(s, 16)\n"
+        "N = int(2.5)\n"
+    )
+    assert _int_calls(source) == [("f", 3), ("g", 6), ("", 7)]
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
