@@ -20,7 +20,7 @@ from operator import mul
 import numpy as np
 
 from .biquotient import T2ActionParams, realize_dim4, realize_dim5
-from .classify import Dim5Params, ManifoldType, circle_quotient_type, classify_dim4
+from .classify import Dim5Params, ManifoldType, circle_quotient_type, dim4_family, dim4_type
 from .errors import PackedKeyLimitError, UnsupportedRankError, VerificationError
 from .orbit_space import (
     Weight,
@@ -386,7 +386,9 @@ def _build_row(rank: int, canon: tuple[Weight, ...]) -> CensusRow:
             f"census class {canon} spans a sublattice of index {gcd(*minors)} in Z^{rank}"
         )
     if rank == 2:
-        mtype = classify_dim4(space)
+        # canon is a canonical form, so dim4_family reads it as it is, and
+        # canonical_form runs once per row, in realize_dim4.
+        mtype = dim4_type(dim4_family(canon))
         realization: T2ActionParams | Dim5Params = realize_dim4(space)
     else:
         realization = realize_dim5(space)

@@ -98,6 +98,14 @@ def dim4_family(weights: tuple[tuple[int, ...], ...]) -> int | str:
     raise VerificationError(f"canonical weights {weights} are in no four-weight family")
 
 
+def dim4_type(family: int | str) -> ManifoldType:
+    """The 4-manifold of a dim4_family reading: CP2#CP2 for "mixed", else
+    S2xS2 for even k and CP2#-CP2 for odd k."""
+    if family == "mixed":
+        return CP2_PLUS_CP2
+    return S2XS2 if family % 2 == 0 else CP2_MINUS_CP2
+
+
 def classify_dim4(s: WeightedOrbitSpace) -> ManifoldType:
     """Diffeomorphism type of the 4-manifold over a rank-2 orbit space.
 
@@ -118,10 +126,7 @@ def classify_dim4(s: WeightedOrbitSpace) -> ManifoldType:
         raise UnsupportedRankError(f"rank {s.rank} orbit space in the 4-manifold classifier")
     n = s.n_weights
     if n == 4:
-        family = dim4_family(canonical_form(s).weights)
-        if family == "mixed":
-            return CP2_PLUS_CP2
-        return S2XS2 if family % 2 == 0 else CP2_MINUS_CP2
+        return dim4_type(dim4_family(canonical_form(s).weights))
     # A legal rank-2 pair has determinant +-1, so legality alone makes the
     # manifold simply connected.
     require_legal(s)

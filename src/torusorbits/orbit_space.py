@@ -55,9 +55,11 @@ def normalize_weight(w: Sequence[int]) -> Weight:
     g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector is not a weight")
-    v = tuple(x // g for x in v)
-    lead = next(x for x in v if x != 0)
-    return v if lead > 0 else tuple(-x for x in v)
+    if g != 1:
+        v = tuple(x // g for x in v)
+    for lead in v:
+        if lead:
+            return v if lead > 0 else tuple(-x for x in v)
 
 
 @dataclass(frozen=True)
@@ -271,11 +273,13 @@ def _least(pairs: list, rank: int) -> tuple[tuple[int, ...], list]:
     sign gives the key.  Keys grow one weight block at a time, and a move is
     dropped once its block exceeds the least.  The 8 moves are the second
     sign and the shears nearest to zeroing the pivot's first two entries;
-    the first sign is fixed, the third resolved per weight.  A unit start
-    (first |t| == 1) keeps the 2 giving its first block (0, 0, 1), which no
-    other move reaches.  The only residual-move rule of the library: the
-    search and canonicalize's transform both run it, and
-    census._candidate_min_keys is its numpy twin.
+    the first sign is fixed, the third resolved per weight.  These 8 include
+    every move reaching the least key.  A unit start (first |t| == 1) keeps
+    the 2 giving its first block (0, 0, 1), which no other move reaches.
+    The residual-move rule of the library: the search runs it where no start
+    is a unit start, and canonicalize's transform on the winning start;
+    _unit_key is its closed form on unit starts, and
+    census._candidate_min_keys its numpy twin.
     """
     live = []
     for based, start in pairs:
@@ -323,16 +327,48 @@ def _start_key(seq: tuple[Weight, ...], rank: int) -> tuple[int, ...]:
     return _least([(_base(_frame(seq[0], seq[1]), seq[2:]), None)], rank)[0]
 
 
+def _unit_key(images: list[Weight], s2: int) -> tuple[int, ...]:
+    """Key of a unit start under its move (s2, 0, 0), from the images
+    (y0, y1, t) of x4..xn in a frame sending x1, x2, x3 to e1, e2, +-e3.
+
+    That frame bases x3 on (0, 0, +-1), so the only shears keeping the first
+    block (0, 0, 1) are 0, and the key is that block followed by each image
+    sign-normalized, with s3 resolved at the first image it moves: the block
+    rule of _least on its 2 moves, in closed form.  The least of the keys
+    for s2 = +-1 does not depend on the signs of the frame's rows: a sign on
+    row 0 is a global sign, which normalization drops, one on row 1 swaps
+    the two s2, and one on row 2 flips s3 with it.
+    """
+    key = [0, 0, 1]
+    s3 = 0
+    for y0, y1, t in images:
+        y1 *= s2
+        lead = y0 or y1
+        if not lead:
+            key += (0, 0, _zigzag(abs(t)))
+            continue
+        if lead < 0:
+            y0, y1, t = -y0, -y1, -t
+        if not s3 and t:
+            s3 = 1 if t > 0 else -1
+        key += (_zigzag(y0), _zigzag(y1), _zigzag(s3 * t))
+    return tuple(key)
+
+
 def _search(s: WeightedOrbitSpace, oriented: bool) -> tuple[tuple[int, ...], tuple[Weight, ...]]:
     """The minimal start key of s and the first rotation or reversal reaching it.
 
-    One _least pass runs over the rotations of s, then of its reversal.  Each
-    adjacent pair is framed once by _frame: the reversed start at (y, x) takes
-    the frame of (x, y) with rows 1, 2 swapped.  At rank 3, with
-    t = det(x1, x2, x3) read off the pair's cross product c, when some start
-    is a unit start (|t| == 1) no other start is framed, and its pair is
-    framed on z = t * x3, a Bezout vector of c; any other pair is framed on
-    the Bezout vector gcd_ext gives.
+    Starts run over the rotations of s, then of its reversal.  At rank 3 a
+    unit start has t = det(x1, x2, x3) = +-1, read off the pair's cross
+    product, and its key starts with the least block (0, 0, 1), which no
+    other start reaches.  When there are unit starts, only they are keyed,
+    in closed form: framed on z = t x3, a unit start has the frame rows
+    t (x2 ^ x3), t (x3 ^ x1) and x1 ^ x2, two of them adjacent cross
+    products; they give the images of x4..xn, and _unit_key compares
+    s2 = +-1.  No _frame, _base or _least runs then.  Otherwise one _least
+    pass runs over every start, and each adjacent pair is framed once by
+    _frame on its Bezout vector: the reversed start at (y, x) takes the
+    frame of (x, y) with rows 1, 2 swapped.
     """
     ws, n = s.weights, s.n_weights
     # At rank 3 a pair is legal exactly when its cross product is primitive.
@@ -342,22 +378,37 @@ def _search(s: WeightedOrbitSpace, oriented: bool) -> tuple[tuple[int, ...], tup
     if s.rank not in (2, 3):
         raise UnsupportedRankError(f"canonical forms implemented for ranks 2 and 3, not {s.rank}")
     # Start (a, d, j) reads ws[a], ws[a + d], ... cyclically; its first two
-    # weights are the pair ws[j], ws[j + 1], swapped when d == -1.
+    # weights are the pair ws[j], ws[j + 1], swapped when d == -1, so
+    # x1 ^ x2 == d * cross[j] and x2 ^ x3 == d * cross[j + d].
     starts = [(a, 1, a) for a in range(n)]
     if not oriented:
         starts += [((-1 - r) % n, -1, (-2 - r) % n) for r in range(n)]
-    units, bezout = [], {}
+    best = None
     for a, d, j in starts if cross else ():
-        x3 = ws[(a + 2 * d) % n]
-        t = sum(map(mul, cross[j], x3))
-        if t in (1, -1):
-            units.append((a, d, j))
-            bezout[j] = tuple(t * e for e in x3)
+        x1, x3 = ws[a], ws[(a + 2 * d) % n]
+        if sum(map(mul, cross[j], x3)) not in (1, -1):
+            continue
+        # The frame rows, up to the signs d * t, t and d that _unit_key drops.
+        r0, r1, r2 = cross[(j + d) % n], _cross(x3, x1), cross[j]
+        rest = [
+            (
+                r0[0] * w[0] + r0[1] * w[1] + r0[2] * w[2],
+                r1[0] * w[0] + r1[1] * w[1] + r1[2] * w[2],
+                r2[0] * w[0] + r2[1] * w[1] + r2[2] * w[2],
+            )
+            for w in (ws[(a + d * m) % n] for m in range(3, n))
+        ]
+        key = min(_unit_key(rest, 1), _unit_key(rest, -1))
+        if best is None or key < best:
+            best, first = key, (a, d)
+    if best is not None:
+        a, d = first
+        return best, tuple(ws[(a + d * m) % n] for m in range(n))
     images: dict[int, list[Weight]] = {}
     pairs = []
-    for a, d, j in units or starts:
+    for a, d, j in starts:
         if j not in images:
-            frame = _frame(ws[j], ws[(j + 1) % n], bezout.get(j))
+            frame = _frame(ws[j], ws[(j + 1) % n])
             images[j] = _base(frame, [ws[(j + m) % n] for m in range(2, n)])
         based = images[j] if d > 0 else [(y1, y0, t) for y0, y1, t in reversed(images[j])]
         pairs.append((based, (a, d)))
@@ -393,6 +444,8 @@ def _completion_row(x: Weight, y: Weight) -> Weight:
     V^-1.  For a unimodular V, V^-1 = det(V) adj(V), and row 2 of adj(V) is
     V_col0 ^ V_col1, so z0 = det(V) (V_col0 ^ V_col1).  It is then reduced
     against the Hermite basis of x, y by the same lattice._reduce_against.
+    canonicalize frames its winning start on z0 only on a tie, where z0
+    decides which of the least moves the transform takes.
 
     Raises:
         VerificationError: (x ^ y) . z0 is not +-1 (an implementation fault).
@@ -410,10 +463,10 @@ def canonical_form(s: WeightedOrbitSpace, oriented: bool = False) -> WeightedOrb
     """Minimum of the symmetry class of s, without the matrix that achieves it.
 
     The same weights as canonicalize(s, oriented)[0], decoded from the key of
-    _search (one frame per adjacent pair, unit starts only when there are
-    any) without re-normalizing them; the transform, whose rank-3 tie-break
-    needs a Smith form, is never built.  Call this unless the transform is
-    needed.
+    _search without re-normalizing them: unit starts keyed in closed form
+    when there are any, else one frame per adjacent pair.  The transform,
+    whose rank-3 tie-break needs a Smith form, is never built.  Call this
+    unless the transform is needed.
 
     Raises:
         IllegalOrbitSpaceError: some adjacent pair is not legal.
@@ -433,19 +486,20 @@ def canonicalize(
     reversal of the input weights followed by sign normalization, yields the
     canonical weights.
 
-    The search, shared with canonical_form, compares flat integer keys block
-    by block on closed-form frames, one per adjacent pair, and only of unit
-    starts (|det(x1, x2, x3)| == 1) when there are any.  Only the first start
-    (x, y, ...) reaching the minimum is then based once more, by the same
-    _frame: at rank 2 it needs nothing else; at rank 3 it is fed z0, the last
-    row of unimodular_complete([x, y]), which fixes which of several tied
-    moves the transform takes.  z0 is read off the Smith form of [x; y] in
-    closed form (_completion_row), with no inverse and no determinant.
-    _least runs over that one start: its key must equal the searched key,
-    and of its minimal moves the first with s2 = +1, then s3 = +1 (an
-    unresolved s3 counts as +1), then the least u, then the least v gives
-    the transform, the product of that move and the frame.  Callers that
-    discard the transform should call canonical_form.
+    The search, shared with canonical_form, keys only the unit starts
+    (|det(x1, x2, x3)| == 1) in closed form when there are any, else every
+    start block by block on closed-form frames, one per adjacent pair.  The
+    first start (x, y, ...) reaching the minimum is then based once more,
+    by _frame on the Bezout vector of x ^ y, and _least runs over it; its
+    key must equal the searched key.  Its moves include every move reaching
+    that key, so when one is left with s3 resolved, exactly one matrix
+    reaches the key, and the transform is that move times the frame.  At
+    rank 3 anything else is a tie: the start is framed on z0, the last row
+    of unimodular_complete([x, y]), read off the Smith form of [x; y] in
+    closed form (_completion_row), and _least runs again.  Of its minimal
+    moves the first with s2 = +1, then s3 = +1 (an unresolved s3 counts as
+    +1), then the least u, then the least v gives the transform.  Callers
+    that discard the transform should call canonical_form.
 
     Args:
         s: a legal orbit space of rank 2 or 3.
@@ -460,13 +514,14 @@ def canonicalize(
     """
     best_key, best_seq = _search(s, oriented)
     x, y = best_seq[:2]
-    z0 = _completion_row(x, y) if s.rank == 3 else None
-    a0 = _frame(x, y, z0)
+    a0 = _frame(x, y)
     key, live = _least([(_base(a0, best_seq[2:]), None)], s.rank)
+    if s.rank == 3 and (len(live) > 1 or not live[0][4]):
+        # A tie: several matrices reach the key, and the z0 frame picks one.
+        a0 = _frame(x, y, _completion_row(x, y))
+        key, live = _least([(_base(a0, best_seq[2:]), None)], s.rank)
     if key != best_key:
-        raise VerificationError(
-            f"{best_seq} based on the completion row {z0} reaches {key}, not {best_key}"
-        )
+        raise VerificationError(f"{best_seq} based on {a0} reaches {key}, not {best_key}")
     _, s2, u, v, s3, _ = min(live, key=lambda e: (-e[1], -(e[4] or 1), e[2], e[3]))
     move = ((1, 0), (0, s2)) if s.rank == 2 else ((1, 0, u), (0, s2, v), (0, 0, s3 or 1))
     columns = tuple(zip(*a0))

@@ -22,7 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torusorbits.biquotient as biquotient
 import torusorbits.census as census
+import torusorbits.orbit_space as orbit_space
 from torusorbits.census import (
     CENSUS_COLUMNS,
     census_csv,
@@ -39,6 +41,7 @@ from torusorbits.classify import (
     S2XS2,
     S3TWISTS2,
     S3XS2,
+    classify_dim4,
     classify_dim5,
 )
 from torusorbits.errors import (
@@ -63,6 +66,7 @@ from torusorbits.orbit_space import (
 from support import (
     _residual_candidates,
     based_weights,
+    count_calls,
     random_symmetry_move,
     random_unimodular_rows,
     reference_rank3_classes,
@@ -163,6 +167,22 @@ def test_rank2_bound1_contents():
         assert any(are_equivalent(target, s) for s in spaces)
     trio = {S2XS2, CP2_PLUS_CP2, CP2_MINUS_CP2}
     assert {row.manifold_type for row in rows} <= trio
+
+
+def test_rank2_row_runs_canonical_form_once(monkeypatch):
+    # A class is a canonical form already: its row reads the type off it and
+    # runs canonical_form once, in realize_dim4, whose round trip through
+    # the induced orbit space stays.  The type is classify_dim4's.  The
+    # mixed class's induced weights are no rotation or reversal of it, so
+    # its round trip adds the two calls of are_equivalent: 10 in all, where
+    # reading the type by classify_dim4 made 18.
+    classes = census._rank2_classes(3)
+    canonical = count_calls(monkeypatch, orbit_space, "canonical_form")
+    induced = count_calls(monkeypatch, biquotient, "induced_orbit_space")
+    rows = [census._build_row(2, canon) for canon in classes]
+    assert (len(rows), len(canonical), len(induced)) == (8, 10, 8)
+    for row in rows:
+        assert row.manifold_type == classify_dim4(WeightedOrbitSpace(2, row.weights))
 
 
 def test_rank3_bound1_contents():

@@ -2,9 +2,10 @@
 
 import hashlib
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -530,19 +531,107 @@ def test_decoded_forms_are_already_normalized(rank_box, n_weights, rng):
             assert form == WeightedOrbitSpace(s.rank, form.weights)
 
 
-def test_rank3_canonicalize_runs_one_smith_form_and_no_inverse(monkeypatch):
-    # z0 comes from the Smith V in closed form: no completion, no inverse;
-    # neither decode re-normalizes its weights.
-    positioned = space(3, (1, 0, 0), (0, 1, 0), (1, 2, 1), (2, 1, 1))
-    s = random_symmetry_move(random.Random(12), positioned)
+def test_rank3_canonicalize_runs_a_smith_form_only_on_a_tie(monkeypatch):
+    # z0 comes from the Smith V in closed form, and only a tie reads it: an
+    # untied input runs no Smith form, a tied one exactly one.  Neither runs
+    # a completion or an inverse, and neither decode re-normalizes its
+    # weights.
+    untied = random_symmetry_move(
+        random.Random(12), space(3, (1, 0, 0), (0, 1, 0), (1, 2, 1), (2, 1, 1))
+    )
+    tied = WeightedOrbitSpace(3, TIED_MOVE_CASES[0][0])
     smith = count_calls(monkeypatch, lattice, "smith_normal_form")
     complete = count_calls(monkeypatch, lattice, "unimodular_complete")
     inverse = count_calls(monkeypatch, lattice, "invert_unimodular")
     normalize = count_calls(monkeypatch, orbit_space, "normalize_weight")
-    canonicalize(s)
-    assert (len(smith), len(complete), len(inverse), len(normalize)) == (1, 0, 0, 0)
-    canonical_form(s)
-    assert (len(smith), len(complete), len(inverse), len(normalize)) == (1, 0, 0, 0)
+    for s, smith_forms in ((untied, 0), (tied, 1)):
+        for run in (canonicalize, canonical_form):
+            run(s)
+            counts = (len(smith), len(complete), len(inverse), len(normalize))
+            assert counts == (smith_forms, 0, 0, 0)
+        smith.clear()
+
+
+def test_unit_start_search_runs_no_frame_and_no_least(monkeypatch):
+    # Where some start is a unit start, the search keys the unit starts in
+    # closed form; only an input with none runs the general _least pass.
+    with_unit = random_symmetry_move(
+        random.Random(12), space(3, (1, 0, 0), (0, 1, 0), (1, 2, 1), (2, 1, 1))
+    )
+    without = WeightedOrbitSpace(3, ((1, 0, 0), (0, 1, 0), (1, 0, 2), (0, 2, 3)))
+    assert any(abs(_det3(seq)) == 1 for seq in _starts(with_unit))
+    assert not any(abs(_det3(seq)) == 1 for seq in _starts(without))
+    frame = count_calls(monkeypatch, orbit_space, "_frame")
+    least = count_calls(monkeypatch, orbit_space, "_least")
+    for oriented in (False, True):
+        canonical_form(with_unit, oriented)
+    assert (len(frame), len(least)) == (0, 0)
+    canonical_form(without)
+    assert (len(frame), len(least)) == (4, 1)
+
+
+def _box_classes(n_weights):
+    """One legal cycle of n_weights weights with entries in [-1, 1] per
+    class under rotation, reversal and the 48 signed permutations of the
+    coordinates, which keep the box: the class's least sequence of weight
+    indices, the weights ordered by type.  A class's least sequence starts
+    with the first weight of the least type among its weights, so only
+    those sequences are built."""
+    weights = sorted(
+        {normalize_weight(w) for w in product((-1, 0, 1), repeat=3) if any(w)},
+        key=lambda w: (sorted(map(abs, w)), w),
+    )
+    index = {w: i for i, w in enumerate(weights)}
+    moves = np.array(
+        [
+            [index[normalize_weight([sign[i] * w[p[i]] for i in range(3)])] for w in weights]
+            for p in permutations(range(3))
+            for sign in product((1, -1), repeat=3)
+        ]
+    )
+    legal = [[j for j, y in enumerate(weights) if pair_is_legal(x, y)] for x in weights]
+    types = [sorted(map(abs, w)) for w in weights]
+    firsts = [i for i in range(len(weights)) if types.index(types[i]) == i]
+    cycles = [[i] for i in firsts]
+    for _ in range(n_weights - 1):
+        cycles = [c + [j] for c in cycles for j in legal[c[-1]] if j >= c[0]]
+    cycles = np.array([c for c in cycles if c[0] in legal[c[-1]]])
+    place = len(weights) ** np.arange(n_weights - 1, -1, -1)
+    code = cycles @ place
+    least = code
+    for move in moves:
+        for image in (move[cycles], move[cycles][:, ::-1]):
+            for k in range(n_weights):
+                least = np.minimum(least, np.roll(image, k, axis=1) @ place)
+    return [tuple(weights[i] for i in c) for c in cycles[code == least].tolist()]
+
+
+def test_search_and_canonicalize_match_references_on_every_box_class():
+    # Every class of legal cycles of 3, 4 or 5 weights in [-1, 1]^3, in a
+    # seeded presentation inside the box: a signed permutation of the
+    # coordinates, a rotation and possibly a reversal.  On five weights
+    # reference_canonicalize takes about 4 ms a call, so there it checks the
+    # oriented search only, which keeps the test under 5 s.
+    rng = random.Random(1717)
+    counts = []
+    for n_weights in (3, 4, 5):
+        classes = _box_classes(n_weights)
+        counts.append(len(classes))
+        for weights in classes:
+            p = rng.sample(range(3), 3)
+            sign = [rng.choice((1, -1)) for _ in range(3)]
+            moved = [tuple(sign[i] * w[p[i]] for i in range(3)) for w in weights]
+            k = rng.randrange(n_weights)
+            moved = moved[k:] + moved[:k]
+            s = WeightedOrbitSpace(3, tuple(moved[:: rng.choice((1, -1))]))
+            for oriented in (False, True):
+                assert _search(s, oriented) == reference_search(s, oriented)
+                if n_weights < 5 or oriented:
+                    canon, transform = canonicalize(s, oriented)
+                    ref, ref_transform = reference_canonicalize(s, oriented)
+                    assert canon.weights == ref.weights
+                    assert transform.entries == ref_transform.entries
+    assert counts == [15, 124, 635]
 
 
 def test_oriented_canonicalize_refines():
