@@ -53,7 +53,6 @@ from .lattice import (
 )
 from .orbit_space import (
     WeightedOrbitSpace,
-    are_equivalent,
     canonical_form,
 )
 
@@ -520,15 +519,17 @@ def _verify_round_trip(
     params: T2ActionParams | Dim5Params,
     h_rows: tuple[tuple[int, ...], ...],
     complement: tuple[tuple[int, ...], ...],
-    weights: tuple[tuple[int, ...], ...],
     target: WeightedOrbitSpace,
+    canon: WeightedOrbitSpace | None,
 ) -> None:
     """Certify that the action induces the target's orbit space.
 
-    The induced diagram comes from the generic stabilizer route.  Rotation
-    and reversal are equivalences, so a dihedral match against an equivalent
-    weight sequence already certifies the round trip; otherwise the canonical
-    forms decide.
+    canon is the target's canonical form, or None when the caller did not
+    compute it.  The induced diagram comes from the generic stabilizer
+    route.  Rotation and reversal are equivalences, so a dihedral match
+    against canon, or else the target, already certifies the round trip;
+    otherwise the canonical form of the induced space must be the target's,
+    which is computed here only when canon is None.
 
     Raises:
         VerificationError: the induced orbit space is not equivalent to the
@@ -536,7 +537,11 @@ def _verify_round_trip(
     """
     diagram = induced_orbit_space(torus_weight_matrix(params), h_rows, complement)
     induced = diagram.orbit_space
-    if not (_dihedral_match(induced.weights, weights) or are_equivalent(induced, target)):
+    if _dihedral_match(induced.weights, (target if canon is None else canon).weights):
+        return
+    if canon is None:
+        canon = canonical_form(target)
+    if canonical_form(induced).weights != canon.weights:
         raise VerificationError(
             f"parameters {params} induce {induced}, not equivalent to {target}"
         )
@@ -567,7 +572,7 @@ def realize_dim4(target: WeightedOrbitSpace) -> T2ActionParams:
         )
     family = dim4_family(canon.weights)
     params = mixed_t2_family() if family == "mixed" else split_t2_family(family // 2, family % 2)
-    _verify_round_trip(params, WZ_TORUS, _WZ_COMPLEMENT, canon.weights, target)
+    _verify_round_trip(params, WZ_TORUS, _WZ_COMPLEMENT, target, canon)
     return params
 
 
@@ -592,9 +597,9 @@ def realize_dim5(target: WeightedOrbitSpace) -> Dim5Params:
         raise UnsupportedRankError(f"rank {target.rank} target in the dimension-5 realizer")
     if target.n_weights != 4:
         raise UnsupportedWeightCountError(f"{target.n_weights} weights, expected 4")
-    positioned = target if in_canonical_position(target) else canonical_form(target)
-    params = extract_dim5_params(positioned)
-    _verify_round_trip(params, Z_CIRCLE, _Z_COMPLEMENT, positioned.weights, target)
+    canon = None if in_canonical_position(target) else canonical_form(target)
+    params = extract_dim5_params(target if canon is None else canon)
+    _verify_round_trip(params, Z_CIRCLE, _Z_COMPLEMENT, target, canon)
     return params
 
 

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from math import gcd
 from operator import mul
 
@@ -30,7 +30,6 @@ from .orbit_space import (
     _zigzag,
     canonical_form,
     format_weights,
-    pair_is_legal,
 )
 
 CENSUS_COLUMNS = ("weights", "type", "pi1", "realization", "verified")
@@ -90,22 +89,43 @@ def _signed_permutation_types(weights: list[Weight]) -> list[int]:
     ]
 
 
+def _kept_cycles(weights: list[Weight], legal: np.ndarray):
+    """The legal cycles that _signed_permutation_types keeps, for both ranks.
+
+    legal[a, b] says whether weights a and b form a legal pair.  Yields
+    (i, partners, cycles) per representative i: partners are the x2 that i
+    pairs with, and cycles gives, per partner j in order, (j, kk, ll), the
+    index arrays of every kept (x3, x4) = (k, l) of the cycles (i, j, k, l).
+    cycles reads the current i lazily, so it is consumed before the next.
+    """
+    types = np.array(_signed_permutation_types(weights))
+    order = np.arange(len(weights))
+    for i in np.flatnonzero(types == order):
+        # Smallest type first: x2, x3 and x4 have no type below x1's.
+        allowed = types >= types[i]
+        partners = np.flatnonzero(legal[i] & allowed)
+        if len(partners) == 0:
+            continue
+        # (x3, x4) = (k, l) with k ~ l and l ~ i legal, both of allowed type.
+        grid = legal & allowed[:, None] & (legal[:, i] & allowed)[None, :]
+        # Reversal: x4 = l is not before x2 = j.
+        yield i, partners, (
+            (j, *np.nonzero(legal[j][:, None] & grid & (order >= j))) for j in partners
+        )
+
+
 def _rank2_classes(bound: int) -> list[tuple[Weight, ...]]:
     """Canonical forms of the legal four-weight cycles in the box, read off
-    the cycles that _signed_permutation_types keeps."""
+    the cycles that _kept_cycles yields; a pair is legal when |det| = 1."""
     weights = primitive_weights(2, bound)
-    neighbors = [[j for j, y in enumerate(weights) if pair_is_legal(x, y)] for x in weights]
-    neighbor_sets = [set(nb) for nb in neighbors]
-    types = _signed_permutation_types(weights)
+    w = np.array(weights, dtype=np.int64).reshape(-1, 2)
+    legal = np.abs(np.outer(w[:, 0], w[:, 1]) - np.outer(w[:, 1], w[:, 0])) == 1
     classes = set()
-    for i in (i for i, t in enumerate(types) if t == i):
-        around = [j for j in neighbors[i] if types[j] >= i]
-        # around is ascending, so l = x4 is not before j = x2.
-        for j, l in combinations_with_replacement(around, 2):
-            for k in neighbors[j]:
-                if types[k] >= i and k in neighbor_sets[l]:
-                    cycle = (weights[i], weights[j], weights[k], weights[l])
-                    classes.add(canonical_form(WeightedOrbitSpace(2, cycle)).weights)
+    for i, _, cycles in _kept_cycles(weights, legal):
+        for j, kk, ll in cycles:
+            for k, l in zip(kk.tolist(), ll.tolist()):
+                cycle = (weights[i], weights[j], weights[k], weights[l])
+                classes.add(canonical_form(WeightedOrbitSpace(2, cycle)).weights)
     return sorted(classes, key=lambda ws: tuple(_zigzag(e) for w in ws for e in w))
 
 
@@ -242,10 +262,6 @@ def _based(frames: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return based
 
 
-_E1 = np.array([1, 0, 0], dtype=np.int64)
-_E2 = np.array([0, 1, 0], dtype=np.int64)
-
-
 def _start_keys(
     x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, x4: np.ndarray
 ) -> np.ndarray:
@@ -262,22 +278,30 @@ def _start_keys(
 _BLOCK = 16_384
 
 
+# The seven dihedral starts of a cycle (x1, x2, x3, x4) other than itself,
+# as index orders: its other rotations, then the rotations of its reversal.
+_OTHER_STARTS = (
+    (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2), (0, 3, 2, 1), (3, 2, 1, 0), (2, 1, 0, 3), (1, 0, 3, 2)
+)
+
+
 def _class_keys(keys: np.ndarray) -> np.ndarray:
-    """Minimum over the eight dihedral starts of each keyed sequence."""
+    """Minimum over the eight dihedral starts of each keyed sequence.
+
+    Each key is decoded once into the cycle (e1, e2, y3, y4) it codes.  A
+    unimodular map keeps start keys, so the other seven are those of fixed
+    index orders of that one array.
+    """
     out = np.empty_like(keys)
     # Blocks keep the candidate kernel's temporaries in cache.
     for lo in range(0, len(keys), _BLOCK):
         block = keys[lo : lo + _BLOCK]
-        y3, y4 = _unpack_keys(block)
-        # (e1, y4, y3, e2) starts the reversed cycle.
-        reversed_start = _start_keys(_E1, y4, y3, _E2)
-        best = np.minimum(block, reversed_start)
-        for start in (block, reversed_start):
-            for _ in range(3):
-                # The next rotation (e2, y3, y4, e1) of each (e1, e2, y3, y4).
-                y3, y4 = _unpack_keys(start)
-                start = _start_keys(_E2, y3, y4, _E1)
-                best = np.minimum(best, start)
+        cycle = np.zeros((len(block), 4, 3), dtype=np.int64)
+        cycle[:, 0, 0] = cycle[:, 1, 1] = 1
+        cycle[:, 2], cycle[:, 3] = _unpack_keys(block)
+        best = block
+        for order in _OTHER_STARTS:
+            best = np.minimum(best, _start_keys(*(cycle[:, p] for p in order)))
         out[lo : lo + _BLOCK] = best
     return out
 
@@ -311,20 +335,12 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
             f"entry bound {bound} gives {beyond} beyond the packed-key limit"
         )
     weights = primitive_weights(3, bound)
-    if not weights:
-        return []
-    w = np.array(weights, dtype=np.int64)
+    w = np.array(weights, dtype=np.int64).reshape(-1, 3)
     cross = np.cross(w[:, None, :], w[None, :, :])
     legal = np.gcd.reduce(np.abs(cross), axis=2) == 1
-    types = np.array(_signed_permutation_types(weights))
     chunks: list[np.ndarray] = []
     pending = 0
-    for i in np.flatnonzero(types == np.arange(len(weights))):
-        # Smallest type first: x2, x3 and x4 have no type below x1's.
-        allowed = types >= types[i]
-        partners = np.flatnonzero(legal[i] & allowed)
-        if len(partners) == 0:
-            continue
+    for i, partners, cycles in _kept_cycles(weights, legal):
         frames = _frames(np.broadcast_to(w[i], (len(partners), 3)), w[partners])
         based_all = np.einsum("pab,nb->pna", frames, w)
         if np.abs(based_all).max() >= _ENTRY_LIMIT:
@@ -333,12 +349,7 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
             )
         based_all = based_all.astype(np.int32)
         dets_i = cross[i] @ w.T
-        # (x3, x4) = (k, l) with k ~ l and l ~ i legal, both of allowed type.
-        grid = legal & allowed[:, None] & (legal[:, i] & allowed)[None, :]
-        for based, j in zip(based_all, partners):
-            # Reversal: x4 = l is not before x2 = j.
-            kk, ll = np.nonzero(legal[j][:, None] & grid[:, j:])
-            ll += j
+        for based, (j, kk, ll) in zip(based_all, cycles):
             # Simply connected: the four triple determinants are coprime.
             sc = np.gcd(
                 np.gcd((cross[j, kk] * w[ll]).sum(1), dets_i[kk, ll]),

@@ -45,7 +45,10 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NEGATIVE = 4
 
-_GROUP_RE = re.compile(r"\(([^()]*)\)")
+# One integer tuple, "(a,b,...)" with blanks allowed, and the comma that
+# separates it from the next tuple of a list, if any.
+_INTEGER = r"\s*[+-]?\d+\s*"
+_TUPLE_RE = re.compile(rf"\s*\(({_INTEGER}(?:,{_INTEGER})*)\)\s*(,?)")
 
 
 @dataclass(frozen=True)
@@ -66,33 +69,31 @@ class RunResult:
 
 def parse_int_tuple(text: str, expected: int) -> tuple[int, ...]:
     """Parse "(a,b,...)" with exactly `expected` integer entries."""
-    groups = _GROUP_RE.findall(text.strip())
-    if len(groups) != 1:
-        raise ParseError(f"expected one parenthesized tuple, got {text!r}")
-    return _int_entries(groups[0], expected, text)
+    tuples = _int_entries(text)
+    if len(tuples) != 1 or len(tuples[0]) != expected:
+        raise ParseError(f"expected one tuple of {expected} integers, got {text!r}")
+    return tuples[0]
 
 
 def parse_weights(text: str) -> tuple[tuple[int, ...], ...]:
     """Parse a weight list like "(1,0),(0,1),(1,0),(2,1)"."""
-    stripped = text.strip()
-    groups = _GROUP_RE.findall(stripped)
-    if not groups:
-        raise ParseError(f"no weight tuples in {text!r}")
-    leftover = _GROUP_RE.sub("", stripped).replace(",", "").strip()
-    if leftover:
-        raise ParseError(f"unparsed text {leftover!r} in weights {text!r}")
-    return tuple(_int_entries(g, None, text) for g in groups)
+    return _int_entries(text)
 
 
-def _int_entries(group: str, expected: int | None, source: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in group.split(",") if p.strip()]
-    try:
-        entries = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ParseError(f"non-integer entry in {source!r}") from exc
-    if expected is not None and len(entries) != expected:
-        raise ParseError(f"expected {expected} entries, got {len(entries)} in {source!r}")
-    return entries
+def _int_entries(text: str) -> tuple[tuple[int, ...], ...]:
+    """The tuples of a list of integer tuples separated by single commas,
+    read in one pass; anything else is a ParseError."""
+    tuples, pos = [], 0
+    while True:
+        match = _TUPLE_RE.match(text, pos)
+        if match is None:
+            raise ParseError(f"expected an integer tuple at offset {pos} of {text!r}")
+        tuples.append(tuple(int(e) for e in match[1].split(",")))
+        pos = match.end()
+        if not match[2]:
+            if pos != len(text):
+                raise ParseError(f"unparsed text {text[pos:]!r} in {text!r}")
+            return tuple(tuples)
 
 
 def _load_json(path: str) -> dict:

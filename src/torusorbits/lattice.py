@@ -450,17 +450,6 @@ def invert_unimodular_4x4(m: IntMatrix) -> IntMatrix:
     return IntMatrix(inverse)
 
 
-def _reduce_against(w: Sequence[int], hermite: Sequence[Vector]) -> Vector:
-    """w with each pivot entry of a Hermite basis brought into [0, pivot),
-    row by row: the one reduction of every completion row."""
-    for row in hermite:
-        pivot = next(j for j, e in enumerate(row) if e)
-        q = w[pivot] // row[pivot]
-        if q:
-            w = [a - q * b for a, b in zip(w, row)]
-    return tuple(w)
-
-
 def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
     """Extend k independent integer n-vectors to a determinant +-1 matrix.
 
@@ -488,7 +477,16 @@ def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
         )
     vinv = invert_unimodular(snf.V)
     hermite = hermite_normal_form(vecs, n)
-    out = IntMatrix(vecs + tuple(_reduce_against(w, hermite) for w in vinv.entries[k:]))
+    added = []
+    for w in vinv.entries[k:]:
+        # Bring each pivot entry of the Hermite basis into [0, pivot).
+        for row in hermite:
+            pivot = next(j for j, e in enumerate(row) if e)
+            q = w[pivot] // row[pivot]
+            if q:
+                w = [a - q * b for a, b in zip(w, row)]
+        added.append(tuple(w))
+    out = IntMatrix(vecs + tuple(added))
     if abs(determinant(out)) != 1:
         raise VerificationError(f"completion {out.entries} is not unimodular")
     return out

@@ -33,10 +33,8 @@ from .lattice import (
     determinant,
     gcd_ext,
     _integers,
-    _reduce_against,
-    hermite_normal_form,
     quotient_group,
-    smith_normal_form,
+    unimodular_complete,
 )
 
 Weight = tuple[int, ...]
@@ -437,28 +435,6 @@ def _decoded(key: tuple[int, ...], rank: int) -> WeightedOrbitSpace:
     return space
 
 
-def _completion_row(x: Weight, y: Weight) -> Weight:
-    """z0, the row that unimodular_complete([x, y]) adds, without inverting V.
-
-    With U [x; y] V = D the Smith form, unimodular_complete takes row 2 of
-    V^-1.  For a unimodular V, V^-1 = det(V) adj(V), and row 2 of adj(V) is
-    V_col0 ^ V_col1, so z0 = det(V) (V_col0 ^ V_col1).  It is then reduced
-    against the Hermite basis of x, y by the same lattice._reduce_against.
-    canonicalize frames its winning start on z0 only on a tie, where z0
-    decides which of the least moves the transform takes.
-
-    Raises:
-        VerificationError: (x ^ y) . z0 is not +-1 (an implementation fault).
-    """
-    col0, col1, col2 = zip(*smith_normal_form(IntMatrix((x, y))).V.entries)
-    c = _cross(col0, col1)
-    det_v = sum(map(mul, c, col2))
-    z = _reduce_against([det_v * e for e in c], hermite_normal_form((x, y), 3))
-    if sum(map(mul, _cross(x, y), z)) not in (1, -1):
-        raise VerificationError(f"completion row {z} of {x}, {y} is not unimodular")
-    return z
-
-
 def canonical_form(s: WeightedOrbitSpace, oriented: bool = False) -> WeightedOrbitSpace:
     """Minimum of the symmetry class of s, without the matrix that achieves it.
 
@@ -494,12 +470,12 @@ def canonicalize(
     key must equal the searched key.  Its moves include every move reaching
     that key, so when one is left with s3 resolved, exactly one matrix
     reaches the key, and the transform is that move times the frame.  At
-    rank 3 anything else is a tie: the start is framed on z0, the last row
-    of unimodular_complete([x, y]), read off the Smith form of [x; y] in
-    closed form (_completion_row), and _least runs again.  Of its minimal
-    moves the first with s2 = +1, then s3 = +1 (an unresolved s3 counts as
-    +1), then the least u, then the least v gives the transform.  Callers
-    that discard the transform should call canonical_form.
+    rank 3 anything else is a tie: the start is framed on z0, the row that
+    unimodular_complete([x, y]) adds, whose Smith form runs only here, and
+    _least runs again.  Of its minimal moves the first with s2 = +1, then
+    s3 = +1 (an unresolved s3 counts as +1), then the least u, then the
+    least v gives the transform.  Callers that discard the transform should
+    call canonical_form.
 
     Args:
         s: a legal orbit space of rank 2 or 3.
@@ -509,8 +485,8 @@ def canonicalize(
     Raises:
         IllegalOrbitSpaceError: some adjacent pair is not legal.
         UnsupportedRankError: rank is not 2 or 3.
-        VerificationError: the search and the transform disagree, or z0 is
-            not a unimodular completion (implementation faults).
+        VerificationError: the search and the transform disagree, or the
+            completion is not unimodular (implementation faults).
     """
     best_key, best_seq = _search(s, oriented)
     x, y = best_seq[:2]
@@ -518,7 +494,7 @@ def canonicalize(
     key, live = _least([(_base(a0, best_seq[2:]), None)], s.rank)
     if s.rank == 3 and (len(live) > 1 or not live[0][4]):
         # A tie: several matrices reach the key, and the z0 frame picks one.
-        a0 = _frame(x, y, _completion_row(x, y))
+        a0 = _frame(x, y, unimodular_complete((x, y)).entries[2])
         key, live = _least([(_base(a0, best_seq[2:]), None)], s.rank)
     if key != best_key:
         raise VerificationError(f"{best_seq} based on {a0} reaches {key}, not {best_key}")

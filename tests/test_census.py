@@ -169,18 +169,30 @@ def test_rank2_bound1_contents():
     assert {row.manifold_type for row in rows} <= trio
 
 
+def test_rank2_classes_are_the_mixed_class_and_the_k1_family():
+    # An oracle that enumerates nothing: a rank-2 box of bound b >= 1 holds
+    # the mixed class e1, e2, (1,1), (2,1) and the classes e1, e2, e1, (k,1)
+    # for k = 0..2b, and bound 0 holds none.  The bounds after 10 are a
+    # sample, to keep the test near a second.
+    for bound in (*range(11), 15, 20):
+        mixed = ((1, 0), (0, 1), (1, 1), (2, 1))
+        family = [((1, 0), (0, 1), (1, 0), (k, 1)) for k in range(2 * bound + 1)]
+        expected = sorted([mixed, *family], key=zigzag_key) if bound else []
+        assert census._rank2_classes(bound) == expected
+
+
 def test_rank2_row_runs_canonical_form_once(monkeypatch):
     # A class is a canonical form already: its row reads the type off it and
     # runs canonical_form once, in realize_dim4, whose round trip through
     # the induced orbit space stays.  The type is classify_dim4's.  The
     # mixed class's induced weights are no rotation or reversal of it, so
-    # its round trip adds the two calls of are_equivalent: 10 in all, where
-    # reading the type by classify_dim4 made 18.
+    # its round trip canonicalizes them once against the form realize_dim4
+    # holds: 9 in all, where reading the type by classify_dim4 made 18.
     classes = census._rank2_classes(3)
     canonical = count_calls(monkeypatch, orbit_space, "canonical_form")
     induced = count_calls(monkeypatch, biquotient, "induced_orbit_space")
     rows = [census._build_row(2, canon) for canon in classes]
-    assert (len(rows), len(canonical), len(induced)) == (8, 10, 8)
+    assert (len(rows), len(canonical), len(induced)) == (8, 9, 8)
     for row in rows:
         assert row.manifold_type == classify_dim4(WeightedOrbitSpace(2, row.weights))
 

@@ -47,6 +47,11 @@ def write_space(path, rank, weights):
 def test_parse_helpers():
     assert parse_int_tuple("(1, -2, 3, 4)", 4) == (1, -2, 3, 4)
     assert parse_weights("(1,0),(0,1)") == ((1, 0), (0, 1))
+    # Blanks are allowed around entries, parentheses and separators.
+    assert parse_int_tuple(" ( 1, -2 ,3,4 ) ", 4) == (1, -2, 3, 4)
+    assert parse_weights(" ( 1 , 0 ) ,(0, -1),\t(+1,0) , (2,1) ") == (
+        (1, 0), (0, -1), (1, 0), (2, 1)
+    )
     with pytest.raises(ParseError):
         parse_int_tuple("(1,2)", 4)
     with pytest.raises(ParseError):
@@ -55,6 +60,44 @@ def test_parse_helpers():
         parse_weights("no tuples here")
     with pytest.raises(ParseError):
         parse_weights("(1,x)")
+
+
+# Per tuple flag, a command line that reads it, and a value that command
+# accepts.
+_TUPLE_FLAGS = {
+    "--weights": ("canon --rank 2 --weights", "(1,0),(0,1),(1,0),(2,1)"),
+    "--circle": ("extend --circle", "(1,1,1,2)"),
+    "--t2": ("bundle --slope (1,0) --t2", "(1,1,0,0,1,1,1,1)"),
+    "--slope": ("bundle --t2 (1,1,0,0,1,1,1,1) --slope", "(1,0)"),
+}
+
+
+@pytest.mark.parametrize(
+    "flag, bad",
+    [
+        ("--weights", "(1,,0),(0,1),(1,0),(2,1)"),
+        ("--weights", "(1,0)(0,1)(1,0)(2,1)"),
+        ("--weights", ",,(1,0),(0,1),(1,0),(2,1),"),
+        ("--weights", "(1,0),,(0,1),(1,0),(2,1)"),
+        ("--circle", "(1,,1,1,2)"),
+        ("--circle", "[(1,1,1,2)]"),
+        ("--circle", "(1,1,1,2),"),
+        ("--t2", "(1,1,0,0,1,1,1,,1)"),
+        ("--t2", "[(1,1,0,0,1,1,1,1)]"),
+        ("--slope", "(1,,0)"),
+        ("--slope", "((1,0))"),
+        ("--slope", ",(1,0)"),
+    ],
+)
+def test_malformed_tuples_exit_2(capsys, flag, bad):
+    # Every tuple flag reads one grammar: "(", integers separated by single
+    # commas, ")", with blanks allowed, and a list of such tuples separated
+    # by single commas.  Empty entries, missing separators and stray text
+    # are refused, not skipped.
+    prefix, good = _TUPLE_FLAGS[flag]
+    assert invoke(capsys, *prefix.split(), good)[0] == EXIT_OK
+    code, out, err = invoke(capsys, *prefix.split(), bad)
+    assert code == EXIT_PARSE and not out and "error:" in err
 
 
 def test_classify_example(capsys):

@@ -7,7 +7,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusorbits.errors import (
@@ -23,11 +23,9 @@ from torusorbits.lattice import (
     IntMatrix,
     gcd_ext,
     smith_normal_form,
-    unimodular_complete,
 )
 from torusorbits.orbit_space import (
     WeightedOrbitSpace,
-    _completion_row,
     _search,
     _start_key,
     _zigzag,
@@ -492,29 +490,6 @@ def test_canonical_form_matches_canonicalize(rank_box, n_weights, rng):
             assert raised is (IllegalOrbitSpaceError if bad is illegal else UnsupportedRankError)
 
 
-def test_completion_row_matches_unimodular_complete_on_every_small_pair():
-    # z0 = det(V) (V_col0 ^ V_col1), reduced like unimodular_complete's rows,
-    # is the row unimodular_complete adds, on every legal pair in [-2, 2]^3.
-    box = list(product(range(-2, 3), repeat=3))
-    count = 0
-    for x in box:
-        for y in box:
-            if pair_is_legal(x, y):
-                assert _completion_row(x, y) == unimodular_complete([x, y]).row(2)
-                count += 1
-    assert count == 7176
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.tuples(*[st.integers(-60, 60)] * 3),
-    st.tuples(*[st.integers(-60, 60)] * 3),
-)
-def test_completion_row_matches_unimodular_complete(x, y):
-    assume(pair_is_legal(x, y))
-    assert _completion_row(x, y) == unimodular_complete([x, y]).row(2)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from([(2, 4), (3, 2), (3, 3)]),
@@ -532,10 +507,11 @@ def test_decoded_forms_are_already_normalized(rank_box, n_weights, rng):
 
 
 def test_rank3_canonicalize_runs_a_smith_form_only_on_a_tie(monkeypatch):
-    # z0 comes from the Smith V in closed form, and only a tie reads it: an
-    # untied input runs no Smith form, a tied one exactly one.  Neither runs
-    # a completion or an inverse, and neither decode re-normalizes its
-    # weights.
+    # Only a tie reads z0, the row unimodular_complete adds: an untied input
+    # runs no Smith form, completion or inverse, and a tied one runs one
+    # completion, with its one Smith form and one inverse.  canonical_form
+    # builds no transform, so it runs none of them.  Neither decode
+    # re-normalizes its weights.
     untied = random_symmetry_move(
         random.Random(12), space(3, (1, 0, 0), (0, 1, 0), (1, 2, 1), (2, 1, 1))
     )
@@ -544,12 +520,13 @@ def test_rank3_canonicalize_runs_a_smith_form_only_on_a_tie(monkeypatch):
     complete = count_calls(monkeypatch, lattice, "unimodular_complete")
     inverse = count_calls(monkeypatch, lattice, "invert_unimodular")
     normalize = count_calls(monkeypatch, orbit_space, "normalize_weight")
-    for s, smith_forms in ((untied, 0), (tied, 1)):
-        for run in (canonicalize, canonical_form):
+    for s, completions in ((untied, 0), (tied, 1)):
+        for run, runs in ((canonicalize, completions), (canonical_form, 0)):
             run(s)
             counts = (len(smith), len(complete), len(inverse), len(normalize))
-            assert counts == (smith_forms, 0, 0, 0)
-        smith.clear()
+            assert counts == (runs, runs, runs, 0)
+            for calls in (smith, complete, inverse):
+                calls.clear()
 
 
 def test_unit_start_search_runs_no_frame_and_no_least(monkeypatch):

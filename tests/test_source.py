@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import torusorbits
@@ -188,6 +190,26 @@ def test_every_package_name_the_benchmark_reads_exists():
     assert ("workloads.py", "torusorbits.cli.run") in reads
     assert ("workloads.py", "torusorbits.cli.main") in reads
     assert [(path, name) for path, name in sorted(reads) if not _resolves(name)] == []
+
+
+def test_cli_import_reports_the_package_and_numpy():
+    # bench/workloads.py::import_times reads the torusorbits and numpy lines
+    # of this command and fails the benchmark run when either is missing, so
+    # the command line keeps importing numpy.  This check goes away with the
+    # benchmark change of ROADMAP item 1, which reads a missing numpy line
+    # as 0.
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import torusorbits.cli"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    names = set()
+    for line in child.stderr.splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        if len(fields) == 3 and fields[1].strip().isdigit():
+            names.add(fields[2].strip())
+    assert {"torusorbits", "numpy"} <= names
 
 
 def test_the_benchmark_lint_reads_imports_attributes_and_programs():
