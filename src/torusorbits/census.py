@@ -1,10 +1,10 @@
 """Census of legal, simply connected four-weight orbit spaces.
 
-Enumerates every weighted orbit space with four weights and entries in a
-box, one row per canonical class, with its manifold type, fundamental group,
-realizing action parameters, and a round-trip verification flag.  Rows are
-computed independently of each other and the output is deterministic: classes
-are sorted by the canonical weight order and serialized without timestamps.
+Lists the weighted orbit spaces with four weights and entries in a box, rank
+2 by the Orlik-Raymond formula and rank 3 by enumeration: one row per
+canonical class, with its manifold type, fundamental group, realizing action
+parameters and a round-trip verification flag.  The output is deterministic:
+classes are sorted by the canonical weight order, with no timestamps.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .biquotient import T2ActionParams, realize_dim4, realize_dim5
 from .classify import Dim5Params, ManifoldType, circle_quotient_type, dim4_family, dim4_type
 from .errors import PackedKeyLimitError, UnsupportedRankError, VerificationError
+from .lattice import _integers
 from .orbit_space import (
     Weight,
     WeightedOrbitSpace,
@@ -52,6 +53,7 @@ class CensusRow:
 
 def primitive_weights(rank: int, bound: int) -> list[Weight]:
     """Sign-canonical primitive vectors with entries in [-bound, bound]."""
+    rank, bound = _integers((rank, bound))
     if bound < 0:
         raise ValueError(f"entry bound {bound} is negative")
     out = []
@@ -74,7 +76,7 @@ def _signed_permutation_types(weights: list[Weight]) -> list[int]:
     multiset of absolute entries.  The representatives are the weights whose
     type is their own index.
 
-    Both census ranks keep one ordered cycle (x1, x2, x3, x4) per class by
+    The rank-3 census keeps one ordered cycle (x1, x2, x3, x4) per class by
     these types.  Signed coordinate permutations lie in GL(rank, Z), map the
     box onto itself and keep each weight's type.  So every class has a cycle
     that starts at a weight of the smallest type among its four, moved to
@@ -89,44 +91,25 @@ def _signed_permutation_types(weights: list[Weight]) -> list[int]:
     ]
 
 
-def _kept_cycles(weights: list[Weight], legal: np.ndarray):
-    """The legal cycles that _signed_permutation_types keeps, for both ranks.
-
-    legal[a, b] says whether weights a and b form a legal pair.  Yields
-    (i, partners, cycles) per representative i: partners are the x2 that i
-    pairs with, and cycles gives, per partner j in order, (j, kk, ll), the
-    index arrays of every kept (x3, x4) = (k, l) of the cycles (i, j, k, l).
-    cycles reads the current i lazily, so it is consumed before the next.
-    """
-    types = np.array(_signed_permutation_types(weights))
-    order = np.arange(len(weights))
-    for i in np.flatnonzero(types == order):
-        # Smallest type first: x2, x3 and x4 have no type below x1's.
-        allowed = types >= types[i]
-        partners = np.flatnonzero(legal[i] & allowed)
-        if len(partners) == 0:
-            continue
-        # (x3, x4) = (k, l) with k ~ l and l ~ i legal, both of allowed type.
-        grid = legal & allowed[:, None] & (legal[:, i] & allowed)[None, :]
-        # Reversal: x4 = l is not before x2 = j.
-        yield i, partners, (
-            (j, *np.nonzero(legal[j][:, None] & grid & (order >= j))) for j in partners
-        )
-
-
 def _rank2_classes(bound: int) -> list[tuple[Weight, ...]]:
-    """Canonical forms of the legal four-weight cycles in the box, read off
-    the cycles that _kept_cycles yields; a pair is legal when |det| = 1."""
-    weights = primitive_weights(2, bound)
-    w = np.array(weights, dtype=np.int64).reshape(-1, 2)
-    legal = np.abs(np.outer(w[:, 0], w[:, 1]) - np.outer(w[:, 1], w[:, 0])) == 1
-    classes = set()
-    for i, _, cycles in _kept_cycles(weights, legal):
-        for j, kk, ll in cycles:
-            for k, l in zip(kk.tolist(), ll.tolist()):
-                cycle = (weights[i], weights[j], weights[k], weights[l])
-                classes.add(canonical_form(WeightedOrbitSpace(2, cycle)).weights)
-    return sorted(classes, key=lambda ws: tuple(_zigzag(e) for w in ws for e in w))
+    """The mixed class e1, e2, (1,1), (2,1) and e1, e2, e1, (k,1) for
+    k = 0..2b, none at b = 0: the Orlik-Raymond list (Trans. AMS 152 (1970)
+    531-559) of the legal four-weight cycles in the box, |det| = 1 per pair.
+
+    After a base change to e1, e2, legality forces x3 = (1, m) and, up to
+    (x, y) -> (x, -y), x4 = (k, 1) with 1 - mk = +-1: mk = 0 gives the
+    family, mk = 2 the mixed class, met as (1,0), (1,-1), (0,1), (1,1).  In
+    the family two opposite weights are +-v and the others satisfy
+    y' = +-y + t v with k = |t|, so |t| |v|_inf <= 2b in the box, and
+    v = (1,0), y = (b,1), y' = (b-k,1) reaches every k in 0..2b.
+    """
+    if bound < 0:
+        raise ValueError(f"entry bound {bound} is negative")
+    if bound == 0:
+        return []
+    mixed = ((1, 0), (0, 1), (1, 1), (2, 1))
+    family = [((1, 0), (0, 1), (1, 0), (k, 1)) for k in range(2 * bound + 1)]
+    return sorted([mixed, *family], key=lambda ws: tuple(_zigzag(e) for w in ws for e in w))
 
 
 # The residual moves explored per based pair: three diagonal signs and, for
@@ -338,9 +321,18 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
     w = np.array(weights, dtype=np.int64).reshape(-1, 3)
     cross = np.cross(w[:, None, :], w[None, :, :])
     legal = np.gcd.reduce(np.abs(cross), axis=2) == 1
+    types = np.array(_signed_permutation_types(weights))
+    order = np.arange(len(weights))
     chunks: list[np.ndarray] = []
     pending = 0
-    for i, partners, cycles in _kept_cycles(weights, legal):
+    for i in np.flatnonzero(types == order):
+        # Smallest type first: x2, x3 and x4 have no type below x1's.
+        allowed = types >= types[i]
+        partners = np.flatnonzero(legal[i] & allowed)
+        if len(partners) == 0:
+            continue
+        # (x3, x4) = (k, l) with k ~ l and l ~ i legal, both of allowed type.
+        grid = legal & allowed[:, None] & (legal[:, i] & allowed)[None, :]
         frames = _frames(np.broadcast_to(w[i], (len(partners), 3)), w[partners])
         based_all = np.einsum("pab,nb->pna", frames, w)
         if np.abs(based_all).max() >= _ENTRY_LIMIT:
@@ -349,7 +341,9 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
             )
         based_all = based_all.astype(np.int32)
         dets_i = cross[i] @ w.T
-        for based, (j, kk, ll) in zip(based_all, cycles):
+        for based, j in zip(based_all, partners):
+            # Reversal: x4 = l is not before x2 = j.
+            kk, ll = np.nonzero(legal[j][:, None] & grid & (order >= j))
             # Simply connected: the four triple determinants are coprime.
             sc = np.gcd(
                 np.gcd((cross[j, kk] * w[ll]).sum(1), dets_i[kk, ll]),
@@ -412,11 +406,12 @@ def _build_row(rank: int, canon: tuple[Weight, ...]) -> CensusRow:
 
 
 def run_census(rank: int, bound: int) -> tuple[CensusRow, ...]:
-    """All canonical classes of legal, simply connected four-weight spaces.
-
-    Enumerates weight sequences with entries in [-bound, bound]; note the
-    canonical representative of a discovered class may have larger entries.
+    """All canonical classes of legal, simply connected four-weight spaces
+    met by weight sequences with entries in [-bound, bound]; a canonical
+    representative may have larger entries.  rank and bound are read by
+    operator.index, so a float or a string is a ValueError.
     """
+    rank, bound = _integers((rank, bound))
     if rank == 2:
         classes = _rank2_classes(bound)
     elif rank == 3:

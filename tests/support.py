@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: random symmetry moves, seed spaces, the
 reference canonicalization, start key and search, the reference stabilizer
-route, the reference rank-3 census enumeration and a call counter."""
+route, the reference census enumerations at both ranks and a call counter."""
 
 import sys
 from itertools import product
@@ -13,6 +13,7 @@ from torusorbits.census import (
     _candidate_min_keys,
     _class_keys,
     _frames,
+    _signed_permutation_types,
     _unpack_keys,
     primitive_weights,
 )
@@ -31,6 +32,7 @@ from torusorbits.orbit_space import (
     _frame,
     _start_key,
     _zigzag,
+    canonical_form,
     is_legal,
     normalize_weight,
     pair_is_legal,
@@ -319,3 +321,34 @@ def reference_rank3_classes(bound):
         ((1, 0, 0), (0, 1, 0), tuple(y3), tuple(y4))
         for y3, y4 in zip(y3s.tolist(), y4s.tolist())
     ]
+
+
+# --- reference rank-2 census enumeration
+#
+# The enumerator that the Orlik-Raymond list in census._rank2_classes
+# replaced: every legal cycle that the type rule of
+# census._signed_permutation_types keeps, put in canonical form.
+
+
+def reference_rank2_classes(bound):
+    weights = primitive_weights(2, bound)
+    types = _signed_permutation_types(weights)
+    near = [
+        {b for b, y in enumerate(weights) if abs(x[0] * y[1] - x[1] * y[0]) == 1}
+        for x in weights
+    ]
+    classes = set()
+    for i, t in enumerate(types):
+        if t != i:
+            continue
+        # x2, x3 and x4 have no type below x1's, and x4 is not before x2.
+        allowed = {b for b, u in enumerate(types) if u >= t}
+        partners = sorted(near[i] & allowed)
+        for j in partners:
+            for l in partners:
+                if l < j:
+                    continue
+                for k in near[j] & near[l] & allowed:
+                    cycle = (weights[i], weights[j], weights[k], weights[l])
+                    classes.add(canonical_form(WeightedOrbitSpace(2, cycle)).weights)
+    return sorted(classes, key=zigzag_key)

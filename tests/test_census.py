@@ -69,6 +69,7 @@ from support import (
     count_calls,
     random_symmetry_move,
     random_unimodular_rows,
+    reference_rank2_classes,
     reference_rank3_classes,
     reference_start_key,
     zigzag_key,
@@ -170,15 +171,48 @@ def test_rank2_bound1_contents():
 
 
 def test_rank2_classes_are_the_mixed_class_and_the_k1_family():
-    # An oracle that enumerates nothing: a rank-2 box of bound b >= 1 holds
-    # the mixed class e1, e2, (1,1), (2,1) and the classes e1, e2, e1, (k,1)
-    # for k = 0..2b, and bound 0 holds none.  The bounds after 10 are a
-    # sample, to keep the test near a second.
+    # The Orlik-Raymond list against the enumerator it replaced: a rank-2
+    # box of bound b >= 1 holds the mixed class e1, e2, (1,1), (2,1) and the
+    # classes e1, e2, e1, (k,1) for k = 0..2b, and bound 0 holds none.  The
+    # bounds after 10 are a sample, to keep the test near a second.
     for bound in (*range(11), 15, 20):
         mixed = ((1, 0), (0, 1), (1, 1), (2, 1))
         family = [((1, 0), (0, 1), (1, 0), (k, 1)) for k in range(2 * bound + 1)]
         expected = sorted([mixed, *family], key=zigzag_key) if bound else []
-        assert census._rank2_classes(bound) == expected
+        assert census._rank2_classes(bound) == reference_rank2_classes(bound) == expected
+
+
+def test_rank2_formula_reaches_bounds_past_the_enumerator():
+    # An enumerator would need a legality matrix over the 1,216,768
+    # sign-canonical primitive weights of the bound-1000 box; the list has
+    # 2,002 classes and a row for each.
+    rows = run_census(2, 1000)
+    keys = [zigzag_key(row.weights) for row in rows]
+    assert len(rows) == 2_002
+    assert keys == sorted(keys)
+    family = {((1, 0), (0, 1), (1, 0), (k, 1)) for k in range(2_001)}
+    assert {row.weights for row in rows} == {((1, 0), (0, 1), (1, 1), (2, 1))} | family
+
+
+@pytest.mark.parametrize(
+    "call, args, expected",
+    [
+        (run_census, (3.0, 1), ValueError),
+        (run_census, (2, 1.5), ValueError),
+        (run_census, (2, "2"), ValueError),
+        (run_census, (2.0, 1), ValueError),
+        (primitive_weights, (2, 1.5), ValueError),
+        (run_census, (2, np.int64(1)), 4),
+    ],
+)
+def test_rank_and_bound_follow_the_integer_rule(call, args, expected):
+    # operator.index, as everywhere in the library: a float or a string is
+    # refused, never truncated, and an integer scalar passes.
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="is not an integer"):
+            call(*args)
+    else:
+        assert len(call(*args)) == expected
 
 
 def test_rank2_row_runs_canonical_form_once(monkeypatch):

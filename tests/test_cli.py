@@ -421,6 +421,14 @@ CENSUS_DIGESTS = (
      "07d029ffb4583523835d8a0190907f5c3ee3c44878fd331a42c7c2ebfaf1e98f"),
     (("--rank", "2", "--bound", "3", "--format", "csv"),
      "df93f272ed9af46f593685e80659e12df8ab1d522c4455dfec9bbfecce1a1043"),
+    (("--rank", "2", "--bound", "7", "--format", "json"),
+     "cf1adb4b1bad250f2b45b9924ff6c0030ab1e5897fd524a164e548ee25347d05"),
+    (("--rank", "2", "--bound", "20"),
+     "75e99f6d217caadd4a33ced155bce6d18b642bf6d94e1944f448f04373bca818"),
+    (("--rank", "2", "--bound", "20", "--format", "json"),
+     "82446583867a51a802352096f0093d05b847c69cd12b9f2d7b35ea617379c730"),
+    (("--rank", "2", "--bound", "20", "--format", "csv"),
+     "2de6d57ec0faa82995d277b95a24ced4df077c6b37581f8afe160ebf61c7e144"),
     (("--rank", "3", "--bound", "1"),
      "c17df3880cc7c999ec0003754b1552789ce22162874e21a6a6ccdb819e2ff957"),
     (("--rank", "3", "--bound", "1", "--format", "csv"),
