@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import gcd
-from operator import mul
 from typing import Iterable, Sequence
 
 from .classify import (
@@ -28,6 +27,7 @@ from .classify import (
     classify_dim4,
     cross_factor_gcds,
     dim4_family,
+    _read_dim5_params,
     extract_dim5_params,
     in_canonical_position,
 )
@@ -53,6 +53,9 @@ from .lattice import (
 )
 from .orbit_space import (
     WeightedOrbitSpace,
+    _cross,
+    _normalized,
+    _space,
     canonical_form,
 )
 
@@ -200,17 +203,12 @@ def torus_weight_matrix(params: T2ActionParams | Dim5Params) -> IntMatrix:
     and v columns leaves the determinant a*m + c*n, which must be a unit for
     the action to be effective.
     """
-    det = params.a * params.m + params.c * params.n
+    p = params
+    a, b, c, d, k, l, m, n = _integers((p.a, p.b, p.c, p.d, p.k, p.l, p.m, p.n))
+    det = a * m + c * n
     if det not in (1, -1):
         raise ValueError(f"weight matrix determinant {det}, expected a unit")
-    return IntMatrix.from_rows(
-        [
-            [0, 0, -params.n, params.a],
-            [1, 0, params.k, params.b],
-            [0, 0, params.m, params.c],
-            [0, 1, params.l, params.d],
-        ]
-    )
+    return IntMatrix(((0, 0, -n, a), (1, 0, k, b), (0, 0, m, c), (0, 1, l, d)))
 
 
 def subtorus_acts_freely(w: IntMatrix, h_rows: Sequence[Sequence[int]]) -> bool:
@@ -227,17 +225,22 @@ def subtorus_acts_freely(w: IntMatrix, h_rows: Sequence[Sequence[int]]) -> bool:
     exponents coprime; h = 2 needs |det| = 1; h > 2 exceeds the block's rank
     and is never free.
     """
-    e = tuple(map(_integers, h_rows))
+    return _acts_freely(w, tuple(map(_integers, h_rows)))
+
+
+def _acts_freely(w: IntMatrix, e: tuple[tuple[int, ...], ...]) -> bool:
+    """subtorus_acts_freely on rows already read as int tuples."""
     if any(len(row) != 4 for row in e):
         raise ValueError("subtorus rows must have 4 entries")
-    if len(e) > 2:
+    if (h := len(e)) > 2:
         return False
-    exponents = [[sum(map(mul, w_row, row)) for row in e] for w_row in w.entries]
-    for i, j in (sorted(support) for support in VERTEX_SUPPORTS):
+    exponents = [[w0 * h0 + w1 * h1 + w2 * h2 + w3 * h3 for h0, h1, h2, h3 in e]
+                 for w0, w1, w2, w3 in w.entries]
+    for i, j in _VERTEX_PAIRS:
         x, y = exponents[i], exponents[j]
-        if len(e) == 1 and gcd(x[0], y[0]) != 1:
+        if h == 1 and gcd(x[0], y[0]) != 1:
             return False
-        if len(e) == 2 and abs(x[0] * y[1] - x[1] * y[0]) != 1:
+        if h == 2 and abs(x[0] * y[1] - x[1] * y[0]) != 1:
             return False
     return True
 
@@ -258,8 +261,10 @@ class StabilizerSubgroup:
 def _residual_basis(
     h_rows: tuple[tuple[int, ...], ...],
     complement: tuple[tuple[int, ...], ...] | None,
-) -> tuple[tuple[tuple[int, ...], ...], IntMatrix]:
-    """Complement rows and the inverse of the basis [h_rows; complement].
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Complement rows and the columns B of the inverse of the basis
+    [h_rows; complement] after the first len(h_rows): column j of B gives
+    the ambient coordinates of residual coordinate j.
 
     Cached: realizations quotient by the same few subtori in the same
     coordinates.  Raises ValueError unless the rows form a 4x4 unimodular
@@ -268,9 +273,10 @@ def _residual_basis(
     if complement is None:
         complement = unimodular_complete(h_rows).entries[len(h_rows):]
     try:
-        return complement, invert_unimodular_4x4(IntMatrix(h_rows + complement))
+        p_inv = invert_unimodular_4x4(IntMatrix(h_rows + complement))
     except ValueError:
         raise ValueError("complement rows do not complete the subtorus to a basis") from None
+    return complement, tuple(zip(*p_inv.entries))[len(h_rows):]
 
 
 def _validated_pullback(
@@ -285,11 +291,11 @@ def _validated_pullback(
     """
     w_inv = invert_unimodular_4x4(w)
     h = tuple(map(_integers, h_rows))
-    if not subtorus_acts_freely(w, h):
+    if not _acts_freely(w, h):
         raise NotFreeSubtorusError(f"subtorus rows {h_rows}")
     c = None if complement is None else tuple(map(_integers, complement))
-    c_rows, p_inv = _residual_basis(h, c)
-    return c_rows, _pullback_coordinates(w_inv, p_inv, len(h))
+    c_rows, b_columns = _residual_basis(h, c)
+    return c_rows, _pullback_coordinates(w_inv, b_columns)
 
 
 def induced_stabilizer(
@@ -328,19 +334,18 @@ def induced_stabilizer(
 
 
 def _pullback_coordinates(
-    w_inv: IntMatrix, p_inv: IntMatrix, h: int
+    w_inv: IntMatrix, b_columns: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
-    """Rows of w^-T B, where B holds the last 4 - h columns of p_inv.
+    """Rows of w^-T B, for the columns B that _residual_basis returns.
 
     A residual character psi pulls back to the ambient character B psi.  The
     rows of the unimodular w are a basis of the ambient characters, and row
     i of w^-T B psi is the coefficient of w_i when B psi is written in it.
     """
-    b_columns = tuple(zip(*(row[h:] for row in p_inv.entries)))
-    return tuple(
-        tuple(sum(map(mul, w_column, b_column)) for b_column in b_columns)
-        for w_column in zip(*w_inv.entries)
-    )
+    return tuple([
+        tuple([a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 for b0, b1, b2, b3 in b_columns])
+        for a0, a1, a2, a3 in zip(*w_inv.entries)
+    ])
 
 
 def _support_stabilizer(
@@ -396,9 +401,11 @@ class IsotropyDiagram:
     complement: tuple[tuple[int, ...], ...]
 
 
-# Off-support coordinates of each vertex (two) and arc (one), in the order
-# of VERTEX_SUPPORTS and ARC_SUPPORTS, and the vertex strata, which are the
-# same rank-2 tori in every induced diagram.
+# The two coordinates of each vertex, the off-support coordinates of each
+# vertex (two) and arc (one), in the order of VERTEX_SUPPORTS and
+# ARC_SUPPORTS, and the vertex strata, which are the same rank-2 tori in
+# every induced diagram.
+_VERTEX_PAIRS: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in VERTEX_SUPPORTS)
 _VERTEX_OFF_SUPPORT: tuple[tuple[int, int], ...] = tuple(
     tuple(i for i in range(4) if i not in sup) for sup in VERTEX_SUPPORTS
 )
@@ -449,11 +456,11 @@ def induced_orbit_space(
                 f"arc {sorted(sup)} has stabilizer {AbelianGroup(0, ())}, expected a circle"
             )
         slopes.append(row)
-    # The orbit space normalizes each slope once; the arcs reuse its weights.
-    space = WeightedOrbitSpace(4 - len(h_rows), tuple(slopes))
+    # Each int slope is normalized once, into the weight that its arc reuses.
+    space = _space(len(c_rows), tuple(map(_normalized, slopes)))
     return IsotropyDiagram(
         orbit_space=space,
-        arcs=tuple(ArcStratum(sup, wt) for sup, wt in zip(ARC_SUPPORTS, space.weights)),
+        arcs=tuple(map(ArcStratum, ARC_SUPPORTS, space.weights)),
         vertices=_VERTEX_STRATA,
         complement=c_rows,
     )
@@ -464,8 +471,8 @@ def _pair_rank(x: Sequence[int], y: Sequence[int]) -> int:
 
     For rows of Z^3 the minors are the entries of the cross product x ^ y.
     """
-    n = len(x)
-    if any(x[a] * y[b] != x[b] * y[a] for a in range(n) for b in range(a + 1, n)):
+    if any(_cross(x, y) if len(x) == 3 else
+           [x[a] * y[b] - x[b] * y[a] for a, b in combinations(range(len(x)), 2)]):
         return 2
     return 1 if any(x) or any(y) else 0
 
@@ -504,7 +511,7 @@ def _dihedral_match(observed: tuple, reference: tuple) -> bool:
     n = len(reference)
     for seq in (reference, reference[::-1]):
         for r in range(n):
-            if observed == seq[r:] + seq[:r]:
+            if seq[r] == observed[0] and observed == seq[r:] + seq[:r]:
                 return True
     return False
 
@@ -584,7 +591,8 @@ def realize_dim5(target: WeightedOrbitSpace) -> Dim5Params:
     through the induced orbit space of the z-circle is verified.
 
     Rank and weight count are checked first, then legality by canonical_form
-    or extract_dim5_params.
+    or extract_dim5_params.  The parameters of a canonical form are read
+    without a second adjacency pass, since its search checked the pairs.
 
     Raises:
         UnsupportedRankError: target rank is not 3.
@@ -598,7 +606,7 @@ def realize_dim5(target: WeightedOrbitSpace) -> Dim5Params:
     if target.n_weights != 4:
         raise UnsupportedWeightCountError(f"{target.n_weights} weights, expected 4")
     canon = None if in_canonical_position(target) else canonical_form(target)
-    params = extract_dim5_params(target if canon is None else canon)
+    params = extract_dim5_params(target) if canon is None else _read_dim5_params(canon)
     _verify_round_trip(params, Z_CIRCLE, _Z_COMPLEMENT, target, canon)
     return params
 
@@ -770,12 +778,9 @@ def project_slope_to_residual(
         ValueError: (h_rows, c_rows) is not a 4 x 4 unimodular basis, or the
             circle lies inside the quotiented subtorus.
     """
-    _, p_inv = _residual_basis(tuple(map(_integers, h_rows)), tuple(map(_integers, c_rows)))
+    _, b_columns = _residual_basis(tuple(map(_integers, h_rows)), tuple(map(_integers, c_rows)))
     slope = _integers(slope)
-    coeffs = tuple(
-        sum(slope[i] * p_inv.entries[i][j] for i in range(4)) for j in range(4)
-    )
-    residual = coeffs[len(h_rows):]
+    residual = tuple(sum(slope[i] * column[i] for i in range(4)) for column in b_columns)
     if not any(residual):
         raise ValueError(f"circle {tuple(slope)} lies inside the quotiented subtorus")
     return residual

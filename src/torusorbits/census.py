@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
-from operator import mul
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .lattice import _integers
 from .orbit_space import (
     Weight,
     WeightedOrbitSpace,
-    _cross,
+    _space,
     _unzigzag,
     _zigzag,
     canonical_form,
@@ -379,13 +378,15 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
 
 
 def _build_row(rank: int, canon: tuple[Weight, ...]) -> CensusRow:
-    space = WeightedOrbitSpace(rank, canon)
+    # A class is a canonical form, normalized already: it is not read again.
+    space = _space(rank, canon)
     # The fundamental group bound Z^rank / span is trivial exactly when the
     # gcd of the maximal minors of the weights is 1.
     if rank == 2:
         minors = [x[0] * y[1] - x[1] * y[0] for x, y in combinations(canon, 2)]
     else:
-        minors = [sum(map(mul, _cross(x, y), z)) for x, y, z in combinations(canon, 3)]
+        minors = [(x[1] * y[2] - x[2] * y[1]) * z[0] + (x[2] * y[0] - x[0] * y[2]) * z[1]
+                  + (x[0] * y[1] - x[1] * y[0]) * z[2] for x, y, z in combinations(canon, 3)]
     if gcd(*minors) != 1:
         raise VerificationError(
             f"census class {canon} spans a sublattice of index {gcd(*minors)} in Z^{rank}"

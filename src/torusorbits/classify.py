@@ -234,7 +234,9 @@ def extract_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
     (m, n) is the deterministic Bezout pair for a*m + c*n = 1 (minimal |n|,
     ties broken by n >= 0), and the shears are k = -(x*m + p*n),
     l = -(y*m + q*n).  The _dim5_weights of the parameters are re-checked
-    against the input.  classify_dim5 and realize_dim5 share this reading.
+    against the input.  classify_dim5 and realize_dim5 share this reading;
+    on a canonical form they call _read_dim5_params, the reading after the
+    position and legality checks, as the form's search checked the pairs.
 
     Legality of (e2, x3), (x3, x4), (x4, e1) is three of the four gcd
     conditions; only gcd(r,z) = 1, simple connectivity, can still fail.
@@ -247,6 +249,12 @@ def extract_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
     """
     _require_canonical_position(s)
     require_legal(s)
+    return _read_dim5_params(s)
+
+
+def _read_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
+    """extract_dim5_params after its position and legality checks, for a
+    canonical form, whose search has checked the adjacent pairs."""
     x3, x4 = s.weights[2], s.weights[3]
     (p, q, r), (x, y, z) = x3, x4
     if (g := gcd(r, z)) != 1:
@@ -302,7 +310,7 @@ def classify_dim5(s: WeightedOrbitSpace) -> ManifoldType:
         return not_simply_connected(bound)
     positioned = s if in_canonical_position(s) else canonical_form(s)
     try:
-        params = extract_dim5_params(positioned)
+        params = (extract_dim5_params if positioned is s else _read_dim5_params)(positioned)
     except GcdConditionViolatedError:
         # The only condition legality leaves open: pi1_dim5_exact is Z/gcd(r, z).
         (_, _, r), (_, _, z) = positioned.weights[2:]

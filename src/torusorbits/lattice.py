@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import index, mul
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import NonSquareMatrixError, NotCompletableError, VerificationError
@@ -396,7 +396,8 @@ def invert_unimodular(m: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(row[n:] for row in reduced))
 
 
-_IDENTITY_4 = IntMatrix.identity(4).entries
+# The entries of the 4x4 identity, row by row.
+_IDENTITY_4 = sum(IntMatrix.identity(4).entries, ())
 
 
 def invert_unimodular_4x4(m: IntMatrix) -> IntMatrix:
@@ -442,9 +443,10 @@ def invert_unimodular_4x4(m: IntMatrix) -> IntMatrix:
         (-a10 * c3 + a11 * c1 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
          -a30 * s3 + a31 * s1 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0),
     )
-    inverse = tuple(tuple(det * x for x in row) for row in adjugate)
+    inverse = adjugate if det == 1 else tuple(tuple(-x for x in row) for row in adjugate)
     columns = tuple(zip(*inverse))
-    product = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in m.entries)
+    product = tuple([r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3
+                     for r0, r1, r2, r3 in m.entries for v0, v1, v2, v3 in columns])
     if product != _IDENTITY_4:
         raise VerificationError(f"closed-form inverse of {m.entries} fails m @ inv == I")
     return IntMatrix(inverse)

@@ -49,7 +49,11 @@ def normalize_weight(w: Sequence[int]) -> Weight:
     Raises:
         ValueError: the vector is zero (no circle subgroup).
     """
-    v = _integers(w)
+    return _normalized(_integers(w))
+
+
+def _normalized(v: Weight) -> Weight:
+    """normalize_weight of a tuple of ints, which it does not read again."""
     g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector is not a weight")
@@ -131,13 +135,16 @@ def pair_is_legal(x: Sequence[int], y: Sequence[int]) -> bool:
     """Whether the 2 x n matrix [x; y] extends to a unimodular matrix.
 
     Equivalent to its Smith invariant factors being (1, 1), which in turn is
-    the gcd of all 2 x 2 minors being 1.  For n = 2 this is |det| = 1.
+    the gcd of all 2 x 2 minors being 1.  For n = 2 this is |det| = 1, and
+    for n = 3 the minors are the entries of the cross product x ^ y.
 
     Raises:
         ValueError: x and y have different lengths.
     """
     if len(x) != len(y):
         raise ValueError(f"weights {tuple(x)} and {tuple(y)} differ in length")
+    if len(x) == 3:
+        return gcd(*_cross(x, y)) == 1
     minors = [
         x[i] * y[j] - x[j] * y[i] for i, j in combinations(range(len(x)), 2)
     ]
@@ -425,13 +432,19 @@ def _decoded(key: tuple[int, ...], rank: int) -> WeightedOrbitSpace:
     Built as is, not re-normalized: _least sign-normalized every image it
     keyed, and images of primitive weights under a unimodular map are
     primitive, so each decoded weight is already what normalize_weight
-    returns, and __post_init__ is skipped.
+    returns.
     """
     entries = [_unzigzag(code) for code in key]
     images = (tuple(entries[i : i + rank]) for i in range(0, len(entries), rank))
+    return _space(rank, (*_STANDARD_PAIR[rank], *images))
+
+
+def _space(rank: int, weights: tuple[Weight, ...]) -> WeightedOrbitSpace:
+    """The orbit space of weights the library built already normalized, with
+    at least rank of them, each of rank entries: __post_init__ is skipped."""
     space = object.__new__(WeightedOrbitSpace)
     object.__setattr__(space, "rank", rank)
-    object.__setattr__(space, "weights", (*_STANDARD_PAIR[rank], *images))
+    object.__setattr__(space, "weights", weights)
     return space
 
 

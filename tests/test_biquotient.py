@@ -311,8 +311,8 @@ def test_vertex_rank_check_raises(monkeypatch):
 def assert_stabilizers_match_reference(w, h_rows, complement=None):
     """The closed-form stabilizers and freeness verdict equal the generic ones."""
     assert subtorus_acts_freely(w, h_rows) == reference_subtorus_acts_freely(w, h_rows)
-    _, p_inv = biquotient._residual_basis(h_rows, complement)
-    coords = biquotient._pullback_coordinates(invert_unimodular(w), p_inv, len(h_rows))
+    _, b_columns = biquotient._residual_basis(h_rows, complement)
+    coords = biquotient._pullback_coordinates(invert_unimodular(w), b_columns)
     m = 4 - len(h_rows)
     for sup in realizable_supports():
         assert biquotient._support_stabilizer(coords, m, sup) == reference_support_stabilizer(
@@ -531,9 +531,13 @@ def test_rank3_error_order_is_shared_by_realize_and_classify():
 
 
 def test_dim5_solvers_check_adjacency_once(monkeypatch):
-    # One adjacency check per call, on positioned and moved inputs:
-    # classify_dim5 reads a nontrivial pi1 off extract_dim5_params instead of
-    # checking legality a second time in pi1_dim5_exact.
+    # A positioned input is checked by one adjacency pass, in
+    # extract_dim5_params.  A moved input gets none: canonical_form's search
+    # proved legality from its cross products, and the parameters are read
+    # off the canonical form without a second pass.  classify_dim5 reads a
+    # nontrivial pi1 off the reader instead of checking legality again in
+    # pi1_dim5_exact.  An illegal moved input is refused by the one pass the
+    # search runs.
     calls = []
     failing_pairs = orbit_space._failing_pairs
     monkeypatch.setattr(
@@ -544,10 +548,10 @@ def test_dim5_solvers_check_adjacency_once(monkeypatch):
     for positioned in (dim5_orbit_space(DIM5_EXAMPLE), cyclic):
         moved = positioned.rotated(1)
         assert in_canonical_position(positioned) and not in_canonical_position(moved)
-        for target in (positioned, moved):
+        for target, passes in ((positioned, 1), (moved, 0)):
             calls.clear()
             manifold_type = classify_dim5(target)
-            assert len(calls) == 1
+            assert len(calls) == passes
             calls.clear()
             if positioned is cyclic:
                 assert manifold_type == not_simply_connected(cyclic_group(2))
@@ -555,7 +559,13 @@ def test_dim5_solvers_check_adjacency_once(monkeypatch):
                     realize_dim5(target)
             else:
                 realize_dim5(target)
-            assert len(calls) == 1
+            assert len(calls) == passes
+    assert not in_canonical_position(ILLEGAL_MOVED)
+    for solver in (classify_dim5, realize_dim5):
+        calls.clear()
+        with pytest.raises(IllegalOrbitSpaceError, match="failing adjacent pairs"):
+            solver(ILLEGAL_MOVED)
+        assert len(calls) == 1
 
 
 def test_canonical_position_realize_induces_once(monkeypatch):

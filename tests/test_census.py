@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from itertools import product
+from types import SimpleNamespace
 from math import gcd
 
 import numpy as np
@@ -229,6 +230,24 @@ def test_rank2_row_runs_canonical_form_once(monkeypatch):
     assert (len(rows), len(canonical), len(induced)) == (8, 9, 8)
     for row in rows:
         assert row.manifold_type == classify_dim4(WeightedOrbitSpace(2, row.weights))
+
+
+def test_every_rank3_row_round_trips(monkeypatch):
+    # Each row runs realize_dim5 once, and it reaches the module-level
+    # induced_orbit_space once: a row's certificate is the library's one
+    # induced-orbit route, so a wrong induced orbit space fails the row.
+    realized = count_calls(monkeypatch, biquotient, "realize_dim5")
+    induced = count_calls(monkeypatch, biquotient, "induced_orbit_space")
+    rows = run_census(3, 2)
+    assert (len(rows), len(realized), len(induced)) == (945, 945, 945)
+    wrong = WeightedOrbitSpace(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)))
+    monkeypatch.setattr(
+        biquotient,
+        "induced_orbit_space",
+        lambda w, h_rows, complement=None: SimpleNamespace(orbit_space=wrong),
+    )
+    with pytest.raises(VerificationError):
+        census._build_row(3, rows[0].weights)
 
 
 def test_rank3_bound1_contents():

@@ -184,7 +184,10 @@ def test_dim4_family_reads_the_two_canonical_forms():
 FAULT_IMPORTS = (
     "import torusorbits.biquotient as biquotient\n"
     "import torusorbits.classify as classify\n"
-    "from torusorbits.biquotient import classify_t2_quotient, realize_dim4, split_t2_family\n"
+    "import torusorbits.lattice as lattice\n"
+    "from torusorbits.biquotient import classify_t2_quotient, realize_dim4, realize_dim5\n"
+    "from torusorbits.biquotient import split_t2_family\n"
+    "from torusorbits.census import _rank3_classes\n"
     "from torusorbits.classify import CP2_PLUS_CP2, classify_dim4, extract_dim5_params\n"
     "from torusorbits.orbit_space import WeightedOrbitSpace\n"
 )
@@ -216,13 +219,21 @@ FAULTS = (
         "lambda s: CP2_PLUS_CP2",
         "classify_t2_quotient(split_t2_family(0, 0))",
     ),
+    # The w @ w^-1 == I check of the closed-form inverse, on the realize
+    # path of a census row, compares with the wrong entries.
+    (
+        "lattice",
+        "_IDENTITY_4",
+        "(0,) * 16",
+        "realize_dim5(WeightedOrbitSpace(3, _rank3_classes(1)[-1]))",
+    ),
 )
 
 
 @pytest.mark.parametrize(
     "module, name, replacement, call",
     FAULTS,
-    ids=["classify-dim4", "realize-dim4", "extract-dim5", "t2-quotient"],
+    ids=["classify-dim4", "realize-dim4", "extract-dim5", "t2-quotient", "inverse-product"],
 )
 def test_implementation_faults_raise_verification_error(monkeypatch, module, name, replacement, call):
     namespace = {}

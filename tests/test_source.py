@@ -212,6 +212,33 @@ def test_cli_import_reports_the_package_and_numpy():
     assert {"torusorbits", "numpy"} <= names
 
 
+def _traced_layers():
+    """The LAYERS tuple of bench/spans.py, read from its source."""
+    for node in ast.parse((BENCH / "spans.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+            "LAYERS"
+        ]:
+            return ast.literal_eval(node.value)
+    raise LookupError("bench/spans.py assigns no LAYERS")
+
+
+def test_cli_import_loads_every_traced_layer():
+    # The traced benchmark runs import torusorbits.cli, and Tracer.install
+    # then looks each layer up in sys.modules, so a layer the command line
+    # stops importing makes every traced run fail.
+    layers = _traced_layers()
+    assert "biquotient" in layers and "cli" in layers
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, torusorbits.cli; print(*sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(child.stdout.split())
+    assert "numpy" in loaded
+    assert [layer for layer in layers if f"torusorbits.{layer}" not in loaded] == []
+
+
 def test_the_benchmark_lint_reads_imports_attributes_and_programs():
     source = (
         "import torusorbits.cli as cli\n"
