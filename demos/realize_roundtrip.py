@@ -28,7 +28,7 @@ def roundtrip_dim4(weights):
     params = realize_dim4(s)
     print(f"  realized by {params}")
     diagram = induced_orbit_space(torus_weight_matrix(params), WZ_TORUS)
-    arcs = [a.weight for a in diagram.arcs]
+    arcs = list(diagram.orbit_space.weights)
     print(f"  induced arc weights {','.join(str(w) for w in arcs)}")
     print(f"  equivalent to input: {are_equivalent(diagram.orbit_space, s)}")
     print()
@@ -40,7 +40,7 @@ def roundtrip_dim5(weights):
     params = realize_dim5(s)
     print(f"  realized by {params}")
     diagram = induced_orbit_space(torus_weight_matrix(params), Z_CIRCLE)
-    arcs = [a.weight for a in diagram.arcs]
+    arcs = list(diagram.orbit_space.weights)
     print(f"  induced arc weights {','.join(str(w) for w in arcs)}")
     print(f"  equivalent to input: {are_equivalent(diagram.orbit_space, s)}")
     print()

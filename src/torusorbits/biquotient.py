@@ -45,6 +45,7 @@ from .errors import (
 from .lattice import (
     AbelianGroup,
     IntMatrix,
+    _IntegerFields,
     _integers,
     gcd_ext,
     invert_unimodular_4x4,
@@ -93,7 +94,7 @@ def realizable_supports() -> tuple[frozenset[int], ...]:
 
 
 @dataclass(frozen=True)
-class CircleActionParams:
+class CircleActionParams(_IntegerFields):
     """Circle acting with exponents a, b, c, d on (alpha1, beta1, alpha2, beta2)."""
 
     a: int
@@ -103,7 +104,7 @@ class CircleActionParams:
 
 
 @dataclass(frozen=True)
-class T2ActionParams:
+class T2ActionParams(_IntegerFields):
     """Two-torus action: z-exponents (a,b,c,d), w-exponents (-n,k,m,l)."""
 
     a: int
@@ -122,6 +123,7 @@ def split_t2_family(r: int, lam: int) -> T2ActionParams:
     Quotients are the sphere product for lam even and the twisted sum for
     lam odd; the induced orbit space carries the weight (2r+lam, 1).
     """
+    r, lam = _integers((r, lam))
     return T2ActionParams(a=1, b=1, c=0, d=0, n=r, k=r + lam, m=1, l=1)
 
 
@@ -204,7 +206,7 @@ def torus_weight_matrix(params: T2ActionParams | Dim5Params) -> IntMatrix:
     the action to be effective.
     """
     p = params
-    a, b, c, d, k, l, m, n = _integers((p.a, p.b, p.c, p.d, p.k, p.l, p.m, p.n))
+    a, b, c, d, k, l, m, n = p.a, p.b, p.c, p.d, p.k, p.l, p.m, p.n
     det = a * m + c * n
     if det not in (1, -1):
         raise ValueError(f"weight matrix determinant {det}, expected a unit")
@@ -376,44 +378,24 @@ def _support_stabilizer(
 
 
 @dataclass(frozen=True)
-class ArcStratum:
-    """Boundary arc of the quotient disk with its circle-stabilizer slope."""
-
-    support: frozenset[int]
-    weight: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class VertexStratum:
-    """Corner of the quotient disk with its rank-2 stabilizer."""
-
-    support: frozenset[int]
-    group: AbelianGroup
-
-
-@dataclass(frozen=True)
 class IsotropyDiagram:
-    """Weighted orbit space of the residual action plus its strata."""
+    """Orbit space of the residual action, which is its whole isotropy
+    diagram: arc i (support ARC_SUPPORTS[i]) has the circle stabilizer of
+    slope orbit_space.weights[i] and every vertex a 2-torus.  complement
+    holds the rows that coordinatize the residual torus."""
 
     orbit_space: WeightedOrbitSpace
-    arcs: tuple[ArcStratum, ...]
-    vertices: tuple[VertexStratum, ...]
     complement: tuple[tuple[int, ...], ...]
 
 
-# The two coordinates of each vertex, the off-support coordinates of each
-# vertex (two) and arc (one), in the order of VERTEX_SUPPORTS and
-# ARC_SUPPORTS, and the vertex strata, which are the same rank-2 tori in
-# every induced diagram.
+# The two coordinates of each vertex, and the off-support coordinates of each
+# vertex (two) and arc (one), in the order of VERTEX_SUPPORTS and ARC_SUPPORTS.
 _VERTEX_PAIRS: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in VERTEX_SUPPORTS)
 _VERTEX_OFF_SUPPORT: tuple[tuple[int, int], ...] = tuple(
     tuple(i for i in range(4) if i not in sup) for sup in VERTEX_SUPPORTS
 )
 _ARC_OFF_SUPPORT: tuple[int, ...] = tuple(
     next(i for i in range(4) if i not in sup) for sup in ARC_SUPPORTS
-)
-_VERTEX_STRATA: tuple[VertexStratum, ...] = tuple(
-    VertexStratum(sup, AbelianGroup(2, ())) for sup in VERTEX_SUPPORTS
 )
 
 
@@ -426,8 +408,8 @@ def induced_orbit_space(
 
     Quotienting the spheres by the free subtorus spanned by h_rows leaves an
     action of the residual torus; its orbit space is a disk whose four arcs
-    carry the slopes of their circle stabilizers, in the fixed cyclic order
-    of the vertex supports.
+    carry the slopes of their circle stabilizers.  The diagram's weight i is
+    the slope on ARC_SUPPORTS[i], written in the complement rows it returns.
 
     Raises:
         ValueError: w is not 4x4 or its determinant is not a unit, or the
@@ -448,22 +430,15 @@ def induced_orbit_space(
                 f"vertex {sorted(sup)} has stabilizer {AbelianGroup(rank, ())}, "
                 "expected a 2-torus"
             )
-    slopes = []
-    for sup, i in zip(ARC_SUPPORTS, _ARC_OFF_SUPPORT):
-        row = coords[i]
+    slopes = [coords[i] for i in _ARC_OFF_SUPPORT]
+    for sup, row in zip(ARC_SUPPORTS, slopes):
         if not any(row):
             raise VerificationError(
                 f"arc {sorted(sup)} has stabilizer {AbelianGroup(0, ())}, expected a circle"
             )
-        slopes.append(row)
-    # Each int slope is normalized once, into the weight that its arc reuses.
+    # Each int slope is normalized once, into its arc's weight.
     space = _space(len(c_rows), tuple(map(_normalized, slopes)))
-    return IsotropyDiagram(
-        orbit_space=space,
-        arcs=tuple(map(ArcStratum, ARC_SUPPORTS, space.weights)),
-        vertices=_VERTEX_STRATA,
-        complement=c_rows,
-    )
+    return IsotropyDiagram(orbit_space=space, complement=c_rows)
 
 
 def _pair_rank(x: Sequence[int], y: Sequence[int]) -> int:
@@ -542,8 +517,7 @@ def _verify_round_trip(
         VerificationError: the induced orbit space is not equivalent to the
             target.
     """
-    diagram = induced_orbit_space(torus_weight_matrix(params), h_rows, complement)
-    induced = diagram.orbit_space
+    induced = induced_orbit_space(torus_weight_matrix(params), h_rows, complement).orbit_space
     if _dihedral_match(induced.weights, (target if canon is None else canon).weights):
         return
     if canon is None:
@@ -745,6 +719,7 @@ def circle_bundle_total_space(base: T2ActionParams, p: int, q: int) -> ManifoldT
         SlopesNotCoprimeError: (p, q) is not primitive.
         NotFreeError: the base parameters do not act freely.
     """
+    p, q = _integers((p, q))
     if gcd(p, q) != 1:
         raise SlopesNotCoprimeError(f"slope ({p},{q})")
     _free_t2_signs(base)
@@ -791,21 +766,20 @@ def circle_arc_isotropy_orders(
 ) -> tuple[int, ...]:
     """Isotropy order of a residual circle along each arc of a rank-2 diagram.
 
-    The circle at the given slope meets the arc's stabilizer circle in a
-    cyclic group of order |cross product|; order 0 means the two circles
-    coincide (the arc is fixed).
+    Arc i's stabilizer circle has slope diagram.orbit_space.weights[i]; the
+    circle at the given slope meets it in a cyclic group of order |cross
+    product|, and order 0 means the two circles coincide (the arc is fixed).
 
     Raises:
-        ValueError: the diagram's residual torus does not have rank 2.
+        ValueError: the diagram's residual torus does not have rank 2, or
+            the slope is not 2 integer entries.
     """
     if diagram.orbit_space.rank != 2:
         raise ValueError(
             f"arc orders need a rank-2 residual torus, not rank {diagram.orbit_space.rank}"
         )
-    s0, s1 = slope
-    return tuple(
-        abs(s0 * arc.weight[1] - s1 * arc.weight[0]) for arc in diagram.arcs
-    )
+    s0, s1 = _integers(slope)
+    return tuple(abs(s0 * y - s1 * x) for x, y in diagram.orbit_space.weights)
 
 
 def circle_quotient_orbifold_orders(r: int, s: int) -> tuple[int, int, int, int]:

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedWeightCountError,
     VerificationError,
 )
-from .lattice import AbelianGroup, cyclic_group, gcd_ext
+from .lattice import AbelianGroup, _IntegerFields, cyclic_group, gcd_ext
 from .orbit_space import (
     WeightedOrbitSpace,
     canonical_form,
@@ -178,7 +178,7 @@ _CROSS_PAIRS = ("a,c", "a,d", "b,c", "b,d")
 
 
 @dataclass(frozen=True)
-class Dim5Params:
+class Dim5Params(_IntegerFields):
     """Parameters (a, b, c, d) plus shears (k, l) and Bezout pair (m, n).
 
     These determine a torus action on a product of two 3-spheres whose
@@ -187,8 +187,9 @@ class Dim5Params:
         x3 = (b*m - c*k, d*m - c*l, c),
         x4 = (-b*n - a*k, -d*n - a*l, a).
 
-    The constructor checks a*m + c*n = 1 and that the circle (a, b, c, d)
-    is free (cross_factor_gcds all 1), raising ValueError otherwise.
+    The constructor reads the fields as integers, then checks a*m + c*n = 1
+    and that the circle (a, b, c, d) is free (cross_factor_gcds all 1),
+    raising ValueError otherwise.
     """
 
     a: int
@@ -201,6 +202,7 @@ class Dim5Params:
     n: int
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.a * self.m + self.c * self.n != 1:
             raise ValueError(
                 f"a*m + c*n = {self.a * self.m + self.c * self.n}, expected 1"

@@ -22,6 +22,10 @@ Vector = tuple[int, ...]
 def _integers(entries: Iterable) -> Vector:
     """The entries as ints; ints and integer scalars such as numpy.int64
     pass, and the first other entry raises ValueError."""
+    if not isinstance(entries, (tuple, list)):
+        # Read other iterables once, so a one-shot iterator can be searched
+        # again for the entry that failed.
+        entries = tuple(entries)
     try:
         return tuple(map(index, entries))
     except TypeError:
@@ -29,6 +33,22 @@ def _integers(entries: Iterable) -> Vector:
             if not hasattr(type(e), "__index__"):
                 raise ValueError(f"entry {e!r} is not an integer") from None
         raise
+
+
+_INT_TYPE = {int}
+
+
+class _IntegerFields:
+    """Base of the frozen dataclasses whose fields are all integers: the
+    fields are read by _integers on construction, so a float or a string
+    raises ValueError and a numpy integer is stored as an int."""
+
+    def __post_init__(self) -> None:
+        fields = vars(self)
+        # Fields that are all ints already are left as they are.
+        if set(map(type, fields.values())) != _INT_TYPE:
+            for name, value in zip(tuple(fields), _integers(tuple(fields.values()))):
+                object.__setattr__(self, name, value)
 
 
 def gcd_ext(a: int, c: int) -> tuple[int, int, int]:

@@ -178,13 +178,13 @@ def test_criterion_4_isotropy_diagrams_and_sampling_oracle():
     for r, lam in product(range(-10, 11), (0, 1)):
         w = torus_weight_matrix(split_t2_family(r, lam))
         diagram = induced_orbit_space(w, WZ_TORUS, E2_COMPLEMENT)
-        arcs = [a.weight for a in diagram.arcs]
+        arcs = list(diagram.orbit_space.weights)
         assert arcs == [(1, 0), normalize_weight((2 * r + lam, 1)), (1, 0), (0, 1)]
     rng = random.Random(20260404)
     draws = random_dim5_params(rng, 200, 6)
     for p in draws:
         diagram = induced_orbit_space(torus_weight_matrix(p), Z_CIRCLE, E3_COMPLEMENT)
-        arcs = [a.weight for a in diagram.arcs]
+        arcs = list(diagram.orbit_space.weights)
         assert dihedral_matches(arcs, dim5_orbit_space(p).weights), p
     configs = [
         (torus_weight_matrix(split_t2_family(2, 1)), WZ_TORUS, E2_COMPLEMENT),

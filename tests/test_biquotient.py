@@ -425,29 +425,27 @@ def test_induced_diagram_split_exact():
         w = torus_weight_matrix(split_t2_family(r, lam))
         diagram = induced_orbit_space(w, WZ_TORUS, E2_COMPLEMENT)
         expected = [(1, 0), normalize_weight((2 * r + lam, 1)), (1, 0), (0, 1)]
-        assert [a.weight for a in diagram.arcs] == expected
-        assert [a.support for a in diagram.arcs] == list(ARC_SUPPORTS)
-        assert all(v.group == AbelianGroup(2, ()) for v in diagram.vertices)
+        assert list(diagram.orbit_space.weights) == expected
         assert diagram.orbit_space.rank == 2
         # matches the closed-form disk up to starting corner and reflection
         closed_form = [(1, 0), (0, 1), (1, 0), normalize_weight((2 * r + lam, 1))]
-        assert dihedral_matches([a.weight for a in diagram.arcs], closed_form)
+        assert dihedral_matches(list(diagram.orbit_space.weights), closed_form)
 
 
 def test_induced_diagram_mixed_exact():
     diagram = induced_orbit_space(torus_weight_matrix(mixed_t2_family()), WZ_TORUS, E2_COMPLEMENT)
-    assert [a.weight for a in diagram.arcs] == [(1, 0), (1, 1), (1, 2), (0, 1)]
+    assert list(diagram.orbit_space.weights) == [(1, 0), (1, 1), (1, 2), (0, 1)]
     assert are_equivalent(diagram.orbit_space, space(2, (1, 0), (0, 1), (1, 1), (2, 1)))
 
 
 def test_induced_diagram_dim5_exact():
     p = DIM5_EXAMPLE
     diagram = induced_orbit_space(torus_weight_matrix(p), Z_CIRCLE, E3_COMPLEMENT)
-    assert [a.weight for a in diagram.arcs] == [(1, 0, 0), (1, 1, 3), (1, 1, 2), (0, 1, 0)]
+    assert list(diagram.orbit_space.weights) == [(1, 0, 0), (1, 1, 3), (1, 1, 2), (0, 1, 0)]
     assert diagram.orbit_space.rank == 3
     closed_form = dim5_orbit_space(p)
     assert are_equivalent(diagram.orbit_space, closed_form)
-    assert dihedral_matches([a.weight for a in diagram.arcs], closed_form.weights)
+    assert dihedral_matches(list(diagram.orbit_space.weights), closed_form.weights)
 
 
 def test_induced_diagram_default_complement_equivalent():
@@ -455,7 +453,32 @@ def test_induced_diagram_default_complement_equivalent():
     explicit = induced_orbit_space(w, WZ_TORUS, E2_COMPLEMENT)
     default = induced_orbit_space(w, WZ_TORUS)
     assert are_equivalent(default.orbit_space, explicit.orbit_space)
-    assert [a.support for a in default.arcs] == [a.support for a in explicit.arcs]
+
+
+def test_arc_weights_sit_on_their_supports():
+    # The orbit space is the whole diagram: weight i is the slope of the
+    # circle that induced_stabilizer finds on ARC_SUPPORTS[i], and every
+    # vertex support has a 2-torus, by the independent Hermite route.
+    rng = random.Random(71)
+    dim5 = []
+    while len(dim5) < 40:
+        try:
+            dim5.append(Dim5Params(*(rng.randint(-5, 5) for _ in range(8))))
+        except ValueError:
+            continue
+    cases = [(split_t2_family(r, lam), WZ_TORUS, E2_COMPLEMENT)
+             for r, lam in product(range(-3, 4), (0, 1))]
+    cases.append((mixed_t2_family(), WZ_TORUS, E2_COMPLEMENT))
+    cases += [(p, Z_CIRCLE, E3_COMPLEMENT) for p in dim5]
+    for params, h_rows, c_rows in cases:
+        w = torus_weight_matrix(params)
+        diagram = induced_orbit_space(w, h_rows, c_rows)
+        assert diagram.complement == c_rows
+        for sup, weight in zip(ARC_SUPPORTS, diagram.orbit_space.weights, strict=True):
+            stab = induced_stabilizer(w, h_rows, sup, c_rows)
+            assert normalize_weight(stab.slopes[0]) == weight, (params, sorted(sup))
+        for sup in VERTEX_SUPPORTS:
+            assert induced_stabilizer(w, h_rows, sup, c_rows).group == AbelianGroup(2, ())
 
 
 def test_classify_t2_quotient_trio():
@@ -741,7 +764,7 @@ INPUT_GUARD_IMPORTS = (
     "from torusorbits.classify import Dim5Params, connected_sum_dim4, not_simply_connected\n"
     "from torusorbits.biquotient import (\n"
     "    WZ_TORUS, Z_CIRCLE, circle_arc_isotropy_orders, induced_orbit_space,\n"
-    "    project_slope_to_residual, torus_weight_matrix,\n"
+    "    project_slope_to_residual, split_t2_family, torus_weight_matrix,\n"
     ")\n"
 )
 INPUT_GUARDS = (
@@ -755,6 +778,11 @@ INPUT_GUARDS = (
     # A rank-3 residual torus.
     "circle_arc_isotropy_orders(induced_orbit_space("
     "torus_weight_matrix(Dim5Params(3, 1, 2, 1, 0, 0, 1, -1)), Z_CIRCLE), (1, 0))",
+    # Slopes of a rank-2 residual torus that do not have 2 entries.
+    "circle_arc_isotropy_orders(induced_orbit_space("
+    "torus_weight_matrix(split_t2_family(1, 0)), WZ_TORUS), (1, 0, 0))",
+    "circle_arc_isotropy_orders(induced_orbit_space("
+    "torus_weight_matrix(split_t2_family(1, 0)), WZ_TORUS), (1,))",
 )
 
 
@@ -809,6 +837,24 @@ INTEGER_ENTRY_POINTS = {
     ),
     "project_slope_to_residual slope": lambda x: project_slope_to_residual(
         WZ_TORUS, E2_COMPLEMENT, (x, 0, 0, 0)
+    ),
+    "CircleActionParams": lambda x: CircleActionParams(x, 1, 1, 2),
+    "is_free_circle": lambda x: is_free_circle(CircleActionParams(x, 1, 1, 2)),
+    "w2_class": lambda x: w2_class(CircleActionParams(x, 1, 1, 2)),
+    "extend_circle_to_t2": lambda x: extend_circle_to_t2(CircleActionParams(x, 1, 1, 2)),
+    "T2ActionParams": lambda x: T2ActionParams(x, 1, 0, 0, 0, 0, 1, 1),
+    "is_free_t2": lambda x: is_free_t2(T2ActionParams(x, 1, 0, 0, 0, 0, 1, 1)),
+    "split_t2_family r": lambda x: split_t2_family(x, 0),
+    "split_t2_family lam": lambda x: split_t2_family(0, x),
+    "Dim5Params": lambda x: Dim5Params(x, 1, 0, 1, 0, 0, 1, 0),
+    "circle_bundle_total_space p": lambda x: circle_bundle_total_space(
+        split_t2_family(0, 0), x, 0
+    ),
+    "circle_bundle_total_space q": lambda x: circle_bundle_total_space(
+        split_t2_family(0, 0), 0, x
+    ),
+    "circle_arc_isotropy_orders": lambda x: circle_arc_isotropy_orders(
+        induced_orbit_space(W_SPLIT, WZ_TORUS, E2_COMPLEMENT), (x, 0)
     ),
 }
 

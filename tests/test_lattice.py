@@ -1,6 +1,7 @@
 """Tests for the exact integer linear algebra layer."""
 
 import random
+import re
 import subprocess
 import sys
 from math import gcd
@@ -25,6 +26,7 @@ from torusorbits.lattice import (
     smith_normal_form,
     unimodular_complete,
 )
+from torusorbits.orbit_space import WeightedOrbitSpace
 
 
 def laplace_det(rows):
@@ -545,3 +547,15 @@ def test_shape_guards_hold_under_optimized_python():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_integers_names_the_failing_entry_of_a_one_shot_iterator():
+    # The first pass consumes an iterator, so it is read into a tuple first
+    # and the search for the failing entry sees every entry again.
+    assert lattice._integers(iter((1, 2))) == (1, 2)
+    assert lattice._integers(range(3)) == (0, 1, 2)
+    message = re.escape("entry 1.5 is not an integer")
+    with pytest.raises(ValueError, match=message):
+        lattice._integers(iter((1, 1.5)))
+    with pytest.raises(ValueError, match=message):
+        WeightedOrbitSpace(2, [(x for x in (1.5, 0)), (0, 1)])

@@ -260,3 +260,18 @@ def test_the_benchmark_lint_reads_imports_attributes_and_programs():
     }
     assert _resolves("torusorbits.cli.run") and _resolves("torusorbits.lattice.IntMatrix")
     assert not _resolves("torusorbits.biquotient.gone")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs(capsys):
+    # The fenced python block of README § Library runs as written, and each
+    # print gives the line its comment shows, so an API change cannot leave
+    # the example behind.
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert expected
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
