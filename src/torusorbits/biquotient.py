@@ -84,7 +84,7 @@ WZ_TORUS: tuple[tuple[int, ...], ...] = ((0, 0, 1, 0), (0, 0, 0, 1))
 
 def is_realizable_support(support: Iterable[int]) -> bool:
     """A support occurs on the spheres iff each factor keeps a coordinate."""
-    s = frozenset(support)
+    s = frozenset(_integers(support))
     return bool(s & {ALPHA1, BETA1}) and bool(s & {ALPHA2, BETA2})
 
 
@@ -227,7 +227,7 @@ def subtorus_acts_freely(w: IntMatrix, h_rows: Sequence[Sequence[int]]) -> bool:
     exponents coprime; h = 2 needs |det| = 1; h > 2 exceeds the block's rank
     and is never free.
     """
-    return _acts_freely(w, tuple(map(_integers, h_rows)))
+    return _acts_freely(IntMatrix.from_rows(w.entries), tuple(map(_integers, h_rows)))
 
 
 def _acts_freely(w: IntMatrix, e: tuple[tuple[int, ...], ...]) -> bool:
@@ -328,7 +328,7 @@ def induced_stabilizer(
         ValueError: w is not 4x4 or its determinant is not a unit.
         NotFreeSubtorusError: the subtorus does not act freely.
     """
-    sup = frozenset(support)
+    sup = frozenset(_integers(support))
     if not is_realizable_support(sup):
         raise UnrealizableSupportError(f"support {sorted(sup)}")
     _, coords = _validated_pullback(w, h_rows, complement)

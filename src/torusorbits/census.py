@@ -138,10 +138,11 @@ def _zigzag_codes(values: np.ndarray) -> np.ndarray:
 def _candidate_min_keys(y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
     """Minimal packed key over the residual moves fixing the based pair.
 
-    Mirrors the 8 moves and block rule of orbit_space._least line for line,
-    over a batch of based pairs, with no unit rule or early exit, which keep
-    the minimum; the candidate image set only depends on the pair being
-    mapped to the standard basis, not on the completion that based it.
+    Keys the 8 moves of orbit_space._least by its block rule over a batch
+    of based pairs and takes the minimum, with none of its pruning (the unit
+    rule, the least first block, the early exit), which only skips moves
+    that cannot reach the minimum; the candidate image set only depends on
+    the pair being mapped to the standard basis, not on the completion.
     """
     pivot = np.where((y2[:, 2] != 0)[:, None], y2, y3)
     p0, p1, p2 = pivot[:, 0], pivot[:, 1], pivot[:, 2]

@@ -430,27 +430,35 @@ def invert_unimodular_4x4(m: IntMatrix) -> IntMatrix:
     multiplying by it.  The result is checked by one product.
 
     Raises:
-        ValueError: m is not 4x4, or its determinant is not +-1.
+        ValueError: m is not 4x4, an entry is not an integer, or its
+            determinant is not +-1.
         VerificationError: m times the computed inverse is not the identity
             (an implementation fault).
     """
     if m.rows != 4 or m.cols != 4:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, expected 4x4")
-    (a00, a01, a02, a03), (a10, a11, a12, a13) = m.entries[:2]
-    (a20, a21, a22, a23), (a30, a31, a32, a33) = m.entries[2:]
-    s0 = a00 * a11 - a10 * a01
-    s1 = a00 * a12 - a10 * a02
-    s2 = a00 * a13 - a10 * a03
-    s3 = a01 * a12 - a11 * a02
-    s4 = a01 * a13 - a11 * a03
-    s5 = a02 * a13 - a12 * a03
-    c5 = a22 * a33 - a32 * a23
-    c4 = a21 * a33 - a31 * a23
-    c3 = a21 * a32 - a31 * a22
-    c2 = a20 * a33 - a30 * a23
-    c1 = a20 * a32 - a30 * a22
-    c0 = a20 * a31 - a30 * a21
-    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    try:
+        (a00, a01, a02, a03), (a10, a11, a12, a13) = m.entries[:2]
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = m.entries[2:]
+        s0 = a00 * a11 - a10 * a01
+        s1 = a00 * a12 - a10 * a02
+        s2 = a00 * a13 - a10 * a03
+        s3 = a01 * a12 - a11 * a02
+        s4 = a01 * a13 - a11 * a03
+        s5 = a02 * a13 - a12 * a03
+        c5 = a22 * a33 - a32 * a23
+        c4 = a21 * a33 - a31 * a23
+        c3 = a21 * a32 - a31 * a22
+        c2 = a20 * a33 - a30 * a23
+        c1 = a20 * a32 - a30 * a22
+        c0 = a20 * a31 - a30 * a21
+        det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    except TypeError:
+        det = None
+    if type(det) is not int:
+        # Some entry is not an int: read them all by the integer rule, which
+        # raises ValueError or gives ints, and start again.
+        return invert_unimodular_4x4(IntMatrix.from_rows(m.entries))
     if det not in (1, -1):
         raise ValueError(f"matrix has determinant {det}, not +-1")
     adjugate = (

@@ -15,9 +15,9 @@ canonical form under the full symmetry group of the data:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -221,7 +221,8 @@ def _zigzag(e):
     """Code of an entry in the entry order: 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
 
     Plain arithmetic, so it maps Python ints and integer numpy arrays alike.
-    The one statement of the order: sequences sort by their zigzag tuples.
+    The one statement of the order: sequences sort by their zigzag tuples;
+    _least and the unit-start loop of _search write it out per entry.
     """
     return 2 * abs(e) - (e > 0)
 
@@ -247,8 +248,8 @@ def _frame(
     is legal, and z defaults to its Bezout vector, with t == 1.  The scalar
     twin of census._frames, without its size reduction of z.  Two frames of
     one pair differ by a move fixing e1 and e2, which the residual shears
-    absorb, so every z gives the same minimal key; only canonicalize's
-    transform depends on z.
+    absorb, so every z gives the same minimal key, and the same transform
+    where one matrix reaches it; only a tie's transform depends on z.
     """
     if len(x) == 2:
         d = x[0] * y[1] - x[1] * y[0]
@@ -260,43 +261,62 @@ def _frame(
         z = (s2 * s01, s2 * t01, t2)
     rows = (_cross(y, z), _cross(z, x), c)
     # Inverting divides by det [x y z] = c . z, a unit: multiply by it.
-    if sum(map(mul, c, z)) == -1:
+    if c[0] * z[0] + c[1] * z[1] + c[2] * z[2] == -1:
         rows = tuple(tuple(-e for e in row) for row in rows)
     return rows
 
 
 def _base(frame: tuple[Weight, ...], weights: Iterable[Weight]) -> list[Weight]:
     """Images (y0, y1, t) of weights under a frame; t = 0 at rank 2: no shear."""
-    r0, r1, r2 = frame if len(frame) == 3 else (*frame, ())
-    return [(sum(map(mul, r0, w)), sum(map(mul, r1, w)), sum(map(mul, r2, w))) for w in weights]
+    if len(frame) == 2:
+        (a, b), (c, d) = frame
+        return [(a * x + b * y, c * x + d * y, 0) for x, y in weights]
+    (a, b, c), (d, e, f), (g, h, i) = frame
+    return [(a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
+            for x, y, z in weights]
 
 
 def _least(pairs: list, rank: int) -> tuple[tuple[int, ...], list]:
     """Least key over the moves (s2, u, v) of (based, start) pairs, and the
     entries [based, s2, u, v, s3, start] of the moves reaching it, in the
     order of pairs; s3 is 0 where no weight resolved it, and then either
-    sign gives the key.  Keys grow one weight block at a time, and a move is
-    dropped once its block exceeds the least.  The 8 moves are the second
-    sign and the shears nearest to zeroing the pivot's first two entries;
-    the first sign is fixed, the third resolved per weight.  These 8 include
-    every move reaching the least key.  A unit start (first |t| == 1) keeps
-    the 2 giving its first block (0, 0, 1), which no other move reaches.
-    The residual-move rule of the library: the search runs it where no start
-    is a unit start, and canonicalize's transform on the winning start;
-    _unit_key is its closed form on unit starts, and
-    census._candidate_min_keys its numpy twin.
+    sign gives the key.  The 8 moves are the second sign and the shears
+    nearest to zeroing the pivot's first two entries (2 at a unit start,
+    |t| == 1); the first sign is fixed, the third resolved per weight.  They
+    include every move reaching the least key.  A start's least first block
+    codes (|a0|, |a1|, |t|): the distances of its first image's y0, y1 from
+    multiples of its t (y0, y1 when t == 0).  Only the starts with the least
+    such block, and their moves reaching it, are keyed; then the key grows
+    one block at a time, and a move is dropped once its block exceeds the
+    least.  The residual-move rule of the library: _search runs it where no
+    start is a unit start, canonicalize on a tie; census._candidate_min_keys
+    is its numpy twin.
     """
-    live = []
+    live, least = [], None
     for based, start in pairs:
-        pivot = next((w for w in based if w[2]), None)
+        y0, y1, t = based[0] if based else (0, 0, 0)
+        m = abs(t)
+        first = (min(y0 % m, -y0 % m), min(y1 % m, -y1 % m), m) if m else (abs(y0), abs(y1), 0)
+        if least is None or first < least:
+            least, live = first, []
+        elif first != least:
+            continue
+        r0, r1, _ = first
+        pivot = based[0] if t else next((w for w in based if w[2]), None)
         p0, p1, p2 = pivot or (0, 0, 1)
         u0, v0_pos, v0_neg = (-p0) // p2, (-p1) // p2, p1 // p2
-        unit = pivot is None or abs(based[0][2]) == 1
-        steps = [(0, 0)] if unit else [(0, 0), (0, 1), (1, 0), (1, 1)]
+        steps = (0,) if pivot is None or m == 1 else (0, 1)
         for s2, v0 in ((1, v0_pos), (-1, v0_neg)):
-            live += [[based, s2, u0 + du, v0 + dv, 0, start] for du, dv in steps]
-    key: list[int] = []
-    for k in range(len(live[0][0])):
+            for u in (u0 + du for du in steps):
+                a0 = y0 + u * t
+                for v in (v0 + dv for dv in steps) if abs(a0) == r0 else ():
+                    a1 = s2 * y1 + v * t
+                    lead = a0 or a1  # the sign normalization of the blocks below
+                    if (a1 if lead > 0 else -a1) == r1:
+                        s3 = (1 if (lead > 0) == (t > 0) else -1) if lead and t else 0
+                        live.append([based, s2, u, v, s3, start])
+    key = [2 * r - (r > 0) for r in least[:rank]] if live[0][0] else []
+    for k in range(1, len(live[0][0])):
         best = None
         for entry in live:
             _, s2, u, v, s3, _ = entry
@@ -305,12 +325,15 @@ def _least(pairs: list, rank: int) -> tuple[tuple[int, ...], list]:
             a1 = s2 * y1 + v * t
             lead = a0 or a1  # sign normalization; else the third entry is made positive
             if not lead:
-                block = (0, 0, _zigzag(abs(t)))
+                block = (0, 0, 2 * abs(t) - (t != 0))
             else:
                 sa = 1 if lead > 0 else -1
                 if not s3 and t:  # s3's smaller key makes the first third digit it moves > 0
                     s3 = entry[4] = 1 if sa * t > 0 else -1
-                block = (_zigzag(sa * a0), _zigzag(sa * a1), _zigzag(sa * s3 * t))
+                a1 *= sa
+                t *= sa * s3
+                # Zigzag codes, written out; sa * a0 is |a0|.
+                block = (2 * abs(a0) - (a0 != 0), 2 * abs(a1) - (a1 > 0), 2 * abs(t) - (t > 0))
             if best is None or block < best:
                 best, kept = block, [entry]
             elif block == best:
@@ -332,94 +355,98 @@ def _start_key(seq: tuple[Weight, ...], rank: int) -> tuple[int, ...]:
     return _least([(_base(_frame(seq[0], seq[1]), seq[2:]), None)], rank)[0]
 
 
-def _unit_key(images: list[Weight], s2: int) -> tuple[int, ...]:
-    """Key of a unit start under its move (s2, 0, 0), from the images
-    (y0, y1, t) of x4..xn in a frame sending x1, x2, x3 to e1, e2, +-e3.
-
-    That frame bases x3 on (0, 0, +-1), so the only shears keeping the first
-    block (0, 0, 1) are 0, and the key is that block followed by each image
-    sign-normalized, with s3 resolved at the first image it moves: the block
-    rule of _least on its 2 moves, in closed form.  The least of the keys
-    for s2 = +-1 does not depend on the signs of the frame's rows: a sign on
-    row 0 is a global sign, which normalization drops, one on row 1 swaps
-    the two s2, and one on row 2 flips s3 with it.
-    """
-    key = [0, 0, 1]
-    s3 = 0
-    for y0, y1, t in images:
-        y1 *= s2
-        lead = y0 or y1
-        if not lead:
-            key += (0, 0, _zigzag(abs(t)))
-            continue
-        if lead < 0:
-            y0, y1, t = -y0, -y1, -t
-        if not s3 and t:
-            s3 = 1 if t > 0 else -1
-        key += (_zigzag(y0), _zigzag(y1), _zigzag(s3 * t))
-    return tuple(key)
+@lru_cache
+def _starts(n: int, oriented: bool) -> tuple[tuple[int, int, int, int], ...]:
+    """Starts (k, o, j, i): the weights (k = 0) or their reversal (k = 1),
+    doubled, read from o.  With d = 1 - 2k, x1 ^ x2 == d * cross[j] and
+    x2 ^ x3 == d * cross[i]."""
+    starts = [(0, a, a, (a + 1) % n) for a in range(n)]
+    if not oriented:
+        starts += [(1, r, (-2 - r) % n, (-3 - r) % n) for r in range(n)]
+    return tuple(starts)
 
 
-def _search(s: WeightedOrbitSpace, oriented: bool) -> tuple[tuple[int, ...], tuple[Weight, ...]]:
-    """The minimal start key of s and the first rotation or reversal reaching it.
+def _search(s: WeightedOrbitSpace, oriented: bool) -> tuple[tuple, tuple[Weight, ...], tuple, list]:
+    """The minimal start key of s, the first rotation or reversal reaching
+    it, that start's frame F (rows sending x1 to e1 and x2 to +-e2) and the
+    moves (s2, u, v, s3) reaching the key from F, s3 = 0 where either does.
 
     Starts run over the rotations of s, then of its reversal.  At rank 3 a
     unit start has t = det(x1, x2, x3) = +-1, read off the pair's cross
     product, and its key starts with the least block (0, 0, 1), which no
     other start reaches.  When there are unit starts, only they are keyed,
-    in closed form: framed on z = t x3, a unit start has the frame rows
-    t (x2 ^ x3), t (x3 ^ x1) and x1 ^ x2, two of them adjacent cross
-    products; they give the images of x4..xn, and _unit_key compares
-    s2 = +-1.  No _frame, _base or _least runs then.  Otherwise one _least
-    pass runs over every start, and each adjacent pair is framed once by
-    _frame on its Bezout vector: the reversed start at (y, x) takes the
-    frame of (x, y) with rows 1, 2 swapped.
+    in one loop and in closed form: framed on z = t x3, a unit start has
+    the frame rows t (x2 ^ x3), t (x3 ^ x1) and x1 ^ x2, two of them
+    adjacent cross products.  Its images of x4..xn are computed once and
+    keyed for s2 = +-1 by the block rule of _least on the moves (s2, 0, 0).
+    Otherwise each adjacent pair is framed once by _frame on its Bezout
+    vector, the reversed start at (y, x) takes the frame of (x, y) with
+    rows 0, 1 swapped, and one _least pass keys every start.
     """
     ws, n = s.weights, s.n_weights
     # At rank 3 a pair is legal exactly when its cross product is primitive.
-    cross = [_cross(ws[j], ws[(j + 1) % n]) for j in range(n)] if s.rank == 3 else []
+    cross = [(b * f - c * e, c * d - a * f, a * e - b * d)
+             for (a, b, c), (d, e, f) in zip(ws, ws[1:] + ws[:1])] if s.rank == 3 else []
     if not cross or any(gcd(*c) != 1 for c in cross):
         require_legal(s)
     if s.rank not in (2, 3):
         raise UnsupportedRankError(f"canonical forms implemented for ranks 2 and 3, not {s.rank}")
-    # Start (a, d, j) reads ws[a], ws[a + d], ... cyclically; its first two
-    # weights are the pair ws[j], ws[j + 1], swapped when d == -1, so
-    # x1 ^ x2 == d * cross[j] and x2 ^ x3 == d * cross[j + d].
-    starts = [(a, 1, a) for a in range(n)]
-    if not oriented:
-        starts += [((-1 - r) % n, -1, (-2 - r) % n) for r in range(n)]
-    best = None
-    for a, d, j in starts if cross else ():
-        x1, x3 = ws[a], ws[(a + 2 * d) % n]
-        if sum(map(mul, cross[j], x3)) not in (1, -1):
+    rings, starts, best = (ws + ws, ws[::-1] * 2), _starts(n, oriented), None
+    for start in starts if cross else ():
+        ring, o, j, i = start
+        ring = rings[ring]
+        (p, q, r), (x, y, z) = cross[j], ring[o + 2]
+        e = p * x + q * y + r * z  # d * t
+        if e != 1 and e != -1:
             continue
-        # The frame rows, up to the signs d * t, t and d that _unit_key drops.
-        r0, r1, r2 = cross[(j + d) % n], _cross(x3, x1), cross[j]
+        # The frame rows times d * t, t and d: signs that normalization drops
+        # from every key.  The winner's rows times e fix x1 -> e1; s2 and s3
+        # take up the signs d and t left on rows 1 and 2.
+        (f, g, h), (k, l, m) = cross[i], ring[o]
+        c0, c1, c2 = y * m - z * l, z * k - x * m, x * l - y * k
         rest = [
-            (
-                r0[0] * w[0] + r0[1] * w[1] + r0[2] * w[2],
-                r1[0] * w[0] + r1[1] * w[1] + r1[2] * w[2],
-                r2[0] * w[0] + r2[1] * w[1] + r2[2] * w[2],
-            )
-            for w in (ws[(a + d * m) % n] for m in range(3, n))
+            (f * w0 + g * w1 + h * w2, c0 * w0 + c1 * w1 + c2 * w2, p * w0 + q * w1 + r * w2)
+            for w0, w1, w2 in ring[o + 3 : o + n]
         ]
-        key = min(_unit_key(rest, 1), _unit_key(rest, -1))
-        if best is None or key < best:
-            best, first = key, (a, d)
+        for s2 in (1, -1):
+            key, s3 = (0, 0, 1), 0
+            for y0, y1, t in rest:
+                y1 *= s2
+                lead = y0 or y1
+                if not lead:
+                    key += (0, 0, 2 * abs(t) - 1)
+                    continue
+                if lead < 0:
+                    y0, y1, t = -y0, -y1, -t
+                if not s3 and t:
+                    s3 = 1 if t > 0 else -1
+                t *= s3
+                key += (2 * y0 - (y0 > 0), 2 * abs(y1) - (y1 > 0), 2 * abs(t) - (t > 0))
+            if best is None or key < best:
+                best, first, moves = key, (start, e, (c0, c1, c2)), [(s2, 0, 0, s3)]
+            elif key == best and first[0] is start:
+                moves.append((s2, 0, 0, s3))
     if best is not None:
-        a, d = first
-        return best, tuple(ws[(a + d * m) % n] for m in range(n))
-    images: dict[int, list[Weight]] = {}
+        (k, o, j, i), e, (a, b, c) = first
+        (f, g, h), (p, q, r) = cross[i], cross[j]
+        frame = ((e * f, e * g, e * h), (e * a, e * b, e * c), (e * p, e * q, e * r))
+        return best, rings[k][o : o + n], frame, moves
+    images: dict[int, tuple] = {}
     pairs = []
-    for a, d, j in starts:
+    for start in starts:
+        k, o, j, _ = start
         if j not in images:
             frame = _frame(ws[j], ws[(j + 1) % n])
-            images[j] = _base(frame, [ws[(j + m) % n] for m in range(2, n)])
-        based = images[j] if d > 0 else [(y1, y0, t) for y0, y1, t in reversed(images[j])]
-        pairs.append((based, (a, d)))
+            images[j] = frame, _base(frame, rings[0][j + 2 : j + n])
+        frame, based = images[j]
+        if k:
+            frame = (frame[1], frame[0], *frame[2:])
+            based = [(y1, y0, t) for y0, y1, t in reversed(based)]
+        pairs.append((based, (start, frame)))
     key, live = _least(pairs, s.rank)
-    a, d = live[0][5]
-    return key, tuple(ws[(a + d * m) % n] for m in range(n))
+    start = live[0][5]
+    (k, o, _, _), frame = start
+    return key, rings[k][o : o + n], frame, [entry[1:5] for entry in live if entry[5] is start]
 
 
 # e1 and e2 of Z^rank, where every canonical form starts.
@@ -469,26 +496,20 @@ def canonicalize(
 ) -> tuple[WeightedOrbitSpace, IntMatrix]:
     """Minimum of the symmetry class of s, with the matrix that achieves it.
 
-    Enumerates rotations, optionally the reversal, and for each choice maps
-    the leading adjacent pair to e1, e2 and minimizes over the residual
-    stabilizer.  The returned matrix, applied to the winning rotation or
-    reversal of the input weights followed by sign normalization, yields the
-    canonical weights.
-
-    The search, shared with canonical_form, keys only the unit starts
-    (|det(x1, x2, x3)| == 1) in closed form when there are any, else every
-    start block by block on closed-form frames, one per adjacent pair.  The
-    first start (x, y, ...) reaching the minimum is then based once more,
-    by _frame on the Bezout vector of x ^ y, and _least runs over it; its
-    key must equal the searched key.  Its moves include every move reaching
-    that key, so when one is left with s3 resolved, exactly one matrix
-    reaches the key, and the transform is that move times the frame.  At
-    rank 3 anything else is a tie: the start is framed on z0, the row that
-    unimodular_complete([x, y]) adds, whose Smith form runs only here, and
-    _least runs again.  Of its minimal moves the first with s2 = +1, then
-    s3 = +1 (an unresolved s3 counts as +1), then the least u, then the
-    least v gives the transform.  Callers that discard the transform should
-    call canonical_form.
+    The returned matrix, applied to the winning rotation or reversal of the
+    input weights followed by sign normalization, yields the canonical
+    weights.  The search, shared with canonical_form, returns the first
+    start reaching the key with its frame F and every move reaching the key
+    from F.  When one move is left with s3 resolved, exactly one matrix
+    reaches the key, and the transform is that move times F, read off in
+    closed form with no second search; it is certified by applying it to
+    the start.  At rank 3 anything else is a tie: the start is framed on
+    z0, the row that unimodular_complete([x, y]) adds, whose Smith form runs
+    only here, _least runs again and its key must equal the searched key.
+    Of the minimal moves the first with s2 = +1, then s3 = +1 (an unresolved
+    s3 counts as +1), then the least u, then the least v gives the
+    transform; at rank 2 the frame is unique.  Callers that discard the
+    transform should call canonical_form.
 
     Args:
         s: a legal orbit space of rank 2 or 3.
@@ -498,24 +519,33 @@ def canonicalize(
     Raises:
         IllegalOrbitSpaceError: some adjacent pair is not legal.
         UnsupportedRankError: rank is not 2 or 3.
-        VerificationError: the search and the transform disagree, or the
-            completion is not unimodular (implementation faults).
+        VerificationError: the transform does not give the searched weights,
+            or the completion is not unimodular (implementation faults).
     """
-    best_key, best_seq = _search(s, oriented)
-    x, y = best_seq[:2]
-    a0 = _frame(x, y)
-    key, live = _least([(_base(a0, best_seq[2:]), None)], s.rank)
-    if s.rank == 3 and (len(live) > 1 or not live[0][4]):
-        # A tie: several matrices reach the key, and the z0 frame picks one.
-        a0 = _frame(x, y, unimodular_complete((x, y)).entries[2])
-        key, live = _least([(_base(a0, best_seq[2:]), None)], s.rank)
-    if key != best_key:
-        raise VerificationError(f"{best_seq} based on {a0} reaches {key}, not {best_key}")
-    _, s2, u, v, s3, _ = min(live, key=lambda e: (-e[1], -(e[4] or 1), e[2], e[3]))
-    move = ((1, 0), (0, s2)) if s.rank == 2 else ((1, 0, u), (0, s2, v), (0, 0, s3 or 1))
-    columns = tuple(zip(*a0))
-    transform = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in move)
-    return _decoded(key, s.rank), IntMatrix(transform)
+    key, seq, frame, moves = _search(s, oriented)
+    tied = s.rank == 3 and (len(moves) > 1 or not moves[0][3])
+    if tied:
+        x, y = seq[:2]
+        frame = _frame(x, y, unimodular_complete((x, y)).entries[2])
+        tie_key, live = _least([(_base(frame, seq[2:]), None)], 3)
+        if tie_key != key:
+            raise VerificationError(f"{seq} based on {frame} reaches {tie_key}, not {key}")
+        moves = [min((e[1:5] for e in live), key=lambda m: (-m[0], -(m[3] or 1), m[1], m[2]))]
+    s2, u, v, s3 = max(moves)  # one move, or at rank 2 s2 = +-1
+    if s.rank == 2:
+        (a, b), (c, d) = frame
+        transform = ((a, b), (s2 * c, s2 * d))
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = frame
+        s3 = s3 or 1
+        transform = ((a + u * g, b + u * h, c + u * i),
+                     (s2 * d + v * g, s2 * e + v * h, s2 * f + v * i), (s3 * g, s3 * h, s3 * i))
+    form = _decoded(key, s.rank)
+    for image, w in zip(_base(transform, seq), form.weights) if not tied else ():
+        w += (0,) * (3 - s.rank)
+        if image != w and image != (-w[0], -w[1], -w[2]):
+            raise VerificationError(f"{transform} sends {seq} to {image}, not to {w}")
+    return form, IntMatrix(transform)
 
 
 def are_equivalent(

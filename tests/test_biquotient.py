@@ -812,6 +812,13 @@ def test_input_guards_hold_under_optimized_python():
 
 W_SPLIT = torus_weight_matrix(split_t2_family(1, 0))
 
+
+def _character_matrix(x):
+    """A unimodular character matrix, free on WZ_TORUS for x = 1, that
+    IntMatrix(...) builds without reading its entries."""
+    return IntMatrix(((0, 0, -1, x), (1, 0, 1, 1), (0, 0, 1, 0), (0, 1, 1, 0)))
+
+
 # Each entry point that reads integer entries, with x at one entry; x = 1
 # makes a valid call.
 INTEGER_ENTRY_POINTS = {
@@ -828,6 +835,14 @@ INTEGER_ENTRY_POINTS = {
     ),
     "induced_stabilizer": lambda x: induced_stabilizer(
         W_SPLIT, ((0, 0, x, 0), (0, 0, 0, 1)), {0, 1, 3}, E2_COMPLEMENT
+    ),
+    "induced_stabilizer support": lambda x: induced_stabilizer(W_SPLIT, WZ_TORUS, (0, x, 3)),
+    "is_realizable_support": lambda x: is_realizable_support((0, x, 3)),
+    "subtorus_acts_freely character matrix": lambda x: subtorus_acts_freely(
+        _character_matrix(x), WZ_TORUS
+    ),
+    "induced_orbit_space character matrix": lambda x: induced_orbit_space(
+        _character_matrix(x), WZ_TORUS
     ),
     "project_slope_to_residual subtorus": lambda x: project_slope_to_residual(
         ((0, 0, x, 0), (0, 0, 0, 1)), E2_COMPLEMENT, (1, 0, 0, 0)

@@ -189,7 +189,8 @@ FAULT_IMPORTS = (
     "from torusorbits.biquotient import split_t2_family\n"
     "from torusorbits.census import _rank3_classes\n"
     "from torusorbits.classify import CP2_PLUS_CP2, classify_dim4, extract_dim5_params\n"
-    "from torusorbits.orbit_space import WeightedOrbitSpace\n"
+    "import torusorbits.orbit_space as orbit_space\n"
+    "from torusorbits.orbit_space import WeightedOrbitSpace, canonicalize\n"
 )
 FAULTS = (
     # The canonical form comes back as the input, a rotation of the mixed form.
@@ -227,13 +228,25 @@ FAULTS = (
         "(0,) * 16",
         "realize_dim5(WeightedOrbitSpace(3, _rank3_classes(1)[-1]))",
     ),
+    # The search hands canonicalize the winning start's move with a wrong
+    # shear u, so the closed-form transform of an untied input is wrong.
+    (
+        "orbit_space",
+        "_search",
+        "lambda s, oriented=False, search=orbit_space._search: (lambda key, seq, frame, moves: "
+        "(key, seq, frame, [(m[0], m[1] + 1, *m[2:]) for m in moves]))(*search(s, oriented))",
+        "canonicalize(WeightedOrbitSpace(3, ((0, 1, 1), (1, 0, 0), (2, 1, 2), (1, 2, 3))))",
+    ),
 )
 
 
 @pytest.mark.parametrize(
     "module, name, replacement, call",
     FAULTS,
-    ids=["classify-dim4", "realize-dim4", "extract-dim5", "t2-quotient", "inverse-product"],
+    ids=[
+        "classify-dim4", "realize-dim4", "extract-dim5", "t2-quotient", "inverse-product",
+        "canon-transform",
+    ],
 )
 def test_implementation_faults_raise_verification_error(monkeypatch, module, name, replacement, call):
     namespace = {}
