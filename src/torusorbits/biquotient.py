@@ -606,10 +606,6 @@ class ExtensionOutcome:
     witness: T2ActionParams | None
     detail: str
 
-    @property
-    def extended(self) -> bool:
-        return self.status is ExtensionStatus.EXTENDED
-
 
 def _solve_extension(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int] | None:
     """Exact solution (m, n, k, l) of the extension equations, or None.

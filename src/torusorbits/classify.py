@@ -318,44 +318,3 @@ def classify_dim5(s: WeightedOrbitSpace) -> ManifoldType:
         (_, _, r), (_, _, z) = positioned.weights[2:]
         return not_simply_connected(cyclic_group(gcd(r, z)))
     return circle_quotient_type(params.a, params.b, params.c, params.d)
-
-
-@dataclass(frozen=True)
-class LensSpace:
-    """Lens space L(order; twist); order 1 is the 3-sphere, order 0 is S2xS1."""
-
-    order: int
-    twist: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", abs(self.order))
-        if self.order >= 1:
-            object.__setattr__(self, "twist", self.twist % self.order)
-
-    def describe(self) -> str:
-        if self.order == 0:
-            return "S2xS1"
-        if self.order == 1:
-            return "S3"
-        return f"L({self.order};{self.twist})"
-
-
-def boundary_lens_spaces(s: WeightedOrbitSpace) -> tuple[LensSpace, LensSpace]:
-    """The two lens spaces splitting the 5-manifold over a canonical-position space.
-
-    With weights e1, e2, (p,q,r), (x,y,z) and a Bezout pair lam*y + mu*z = 1:
-
-        L1 = L(r; p),    L2 = L(q*z - r*y; p - (lam*q + mu*r)*x).
-
-    Raises:
-        NotCanonicalPositionError: weights do not start e1, e2.
-        GcdConditionViolatedError: gcd(y, z) != 1, so no Bezout pair exists.
-    """
-    _require_canonical_position(s)
-    (p, q, r), (x, y, z) = s.weights[2], s.weights[3]
-    g, lam, mu = gcd_ext(y, z)
-    if g != 1:
-        raise GcdConditionViolatedError(f"gcd(y,z) = {g}, expected 1")
-    first = LensSpace(order=r, twist=p)
-    second = LensSpace(order=q * z - r * y, twist=p - (lam * q + mu * r) * x)
-    return (first, second)

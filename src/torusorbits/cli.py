@@ -69,20 +69,16 @@ class RunResult:
 
 def parse_int_tuple(text: str, expected: int) -> tuple[int, ...]:
     """Parse "(a,b,...)" with exactly `expected` integer entries."""
-    tuples = _int_entries(text)
+    tuples = parse_weights(text)
     if len(tuples) != 1 or len(tuples[0]) != expected:
         raise ParseError(f"expected one tuple of {expected} integers, got {text!r}")
     return tuples[0]
 
 
 def parse_weights(text: str) -> tuple[tuple[int, ...], ...]:
-    """Parse a weight list like "(1,0),(0,1),(1,0),(2,1)"."""
-    return _int_entries(text)
-
-
-def _int_entries(text: str) -> tuple[tuple[int, ...], ...]:
-    """The tuples of a list of integer tuples separated by single commas,
-    read in one pass; anything else is a ParseError."""
+    """Parse a weight list like "(1,0),(0,1),(1,0),(2,1)": integer tuples
+    separated by single commas, read in one pass; anything else is a
+    ParseError."""
     tuples, pos = [], 0
     while True:
         match = _TUPLE_RE.match(text, pos)
@@ -191,7 +187,7 @@ def _run_legal(command: Command) -> RunResult:
         "verb": "legal",
         "legal": report.legal,
         "failing_pairs": [list(p) for p in report.failing_pairs],
-        "spans": report.spans,
+        "spans": group.free_rank == 0,
         "pi1_bound": str(group),
         "simply_connected": report.legal and group.is_trivial,
     }

@@ -10,7 +10,6 @@ ValueError naming it, never truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from operator import index
 from typing import Iterable, Sequence
 
@@ -111,12 +110,6 @@ class IntMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
@@ -300,14 +293,18 @@ class AbelianGroup:
     ti >= 2, so equality of dataclasses is equality of groups.
 
     Raises:
-        ValueError: the free rank is negative, some torsion order is below
-            2, or the orders do not form a divisibility chain.
+        ValueError: an entry is not an integer, the free rank is negative,
+            some torsion order is below 2, or the orders do not form a
+            divisibility chain.
     """
 
     free_rank: int
     torsion: Vector = ()
 
     def __post_init__(self) -> None:
+        (free_rank,) = _integers((self.free_rank,))
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", _integers(self.torsion))
         if self.free_rank < 0:
             raise ValueError(f"free rank {self.free_rank} is negative")
         if any(t < 2 for t in self.torsion):
@@ -323,12 +320,6 @@ class AbelianGroup:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        return prod(self.torsion, start=1)
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -369,7 +360,7 @@ def hermite_normal_form(
     Row-style Hermite form: positive pivots, entries above each pivot reduced
     into [0, pivot).  Zero rows are dropped, so the result is a basis.
     """
-    work = [list(row) for row in rows]
+    work = [list(_integers(row)) for row in rows]
     if ncols is None:
         ncols = len(work[0]) if work else 0
     if any(len(row) != ncols for row in work):

@@ -3,8 +3,8 @@
 A weighted orbit space is a disk whose boundary carries a cyclic sequence of
 primitive integer vectors (weights), each recording the slope of a circle
 isotropy group.  This module provides the legality check on adjacent weight
-pairs, the fundamental-group bound, simply-connectedness certificates, and a
-canonical form under the full symmetry group of the data:
+pairs, the fundamental-group bound, and a canonical form under the full
+symmetry group of the data:
 
   (i)   one unimodular matrix applied to all weights,
   (ii)  cyclic rotation of the sequence,
@@ -30,7 +30,6 @@ from .errors import (
 from .lattice import (
     AbelianGroup,
     IntMatrix,
-    determinant,
     gcd_ext,
     _integers,
     quotient_group,
@@ -76,6 +75,8 @@ class WeightedOrbitSpace:
     weights: tuple[Weight, ...]
 
     def __post_init__(self) -> None:
+        (rank,) = _integers((self.rank,))
+        object.__setattr__(self, "rank", rank)
         if self.rank < 2:
             raise RankTooSmallError(f"rank {self.rank} < 2")
         normalized = tuple(normalize_weight(w) for w in self.weights)
@@ -96,10 +97,6 @@ class WeightedOrbitSpace:
         """The N x rank matrix whose rows are the weights."""
         return IntMatrix.from_rows(self.weights)
 
-    def rotated(self, steps: int) -> "WeightedOrbitSpace":
-        k = steps % self.n_weights
-        return WeightedOrbitSpace(self.rank, self.weights[k:] + self.weights[:k])
-
     def __str__(self) -> str:
         return f"rank {self.rank}: {format_weights(self.weights)}"
 
@@ -109,26 +106,12 @@ def format_weights(weights: Iterable[Sequence[int]]) -> str:
     return ",".join("(" + ",".join(str(e) for e in w) + ")" for w in weights)
 
 
-def reversed_space(s: WeightedOrbitSpace) -> WeightedOrbitSpace:
-    """The same disk with the opposite boundary orientation."""
-    return WeightedOrbitSpace(s.rank, tuple(reversed(s.weights)))
-
-
 @dataclass(frozen=True)
 class LegalityReport:
-    """Outcome of the adjacency checks plus spanning certificates.
-
-    simply_connected_certificate holds indices of rank-many weights whose
-    determinant is +-1 (a sufficient condition for simple connectedness), or
-    None when no such subset exists.  spans records whether some rank-many
-    weights are merely independent; when False the manifold splits off a
-    circle factor.
-    """
+    """Outcome of the adjacency checks: legal, and the failing adjacent pairs."""
 
     legal: bool
     failing_pairs: tuple[tuple[int, int], ...]
-    spans: bool
-    simply_connected_certificate: tuple[int, ...] | None
 
 
 def pair_is_legal(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -169,8 +152,7 @@ def _failing_pairs(s: WeightedOrbitSpace) -> tuple[tuple[int, int], ...]:
 def require_legal(s: WeightedOrbitSpace) -> None:
     """Raise unless every cyclically adjacent weight pair is legal.
 
-    The adjacency half of is_legal, without the determinants behind its
-    certificates, for callers that read nothing else.
+    is_legal as an exception, for callers that read nothing else.
 
     Raises:
         IllegalOrbitSpaceError: naming the failing adjacent pairs.
@@ -181,22 +163,11 @@ def require_legal(s: WeightedOrbitSpace) -> None:
 
 
 def is_legal(s: WeightedOrbitSpace) -> LegalityReport:
-    """Check every cyclically adjacent weight pair and fill the certificates."""
+    """Check every cyclically adjacent weight pair."""
     failing = _failing_pairs(s)
-    spans = False
-    certificate = None
-    for idx in combinations(range(s.n_weights), s.rank):
-        d = determinant(IntMatrix.from_rows([s.weights[i] for i in idx]))
-        if d != 0:
-            spans = True
-        if d in (1, -1):
-            certificate = idx
-            break
     return LegalityReport(
         legal=not failing,
         failing_pairs=failing,
-        spans=spans,
-        simply_connected_certificate=certificate,
     )
 
 
@@ -204,7 +175,8 @@ def pi1_bound(s: WeightedOrbitSpace) -> AbelianGroup:
     """The quotient Z^rank / (span of the weights).
 
     An upper bound for the fundamental group of the manifold; exact for the
-    five-dimensional four-weight case.
+    five-dimensional four-weight case.  The weights span Z^rank exactly when
+    its free rank is 0.
     """
     return quotient_group(s.weight_matrix())
 

@@ -78,7 +78,9 @@ from torusorbits.lattice import (
     cyclic_group,
     determinant,
     gcd_ext,
+    hermite_normal_form,
     invert_unimodular,
+    kernel_basis,
     smith_normal_form,
     unimodular_complete,
 )
@@ -537,7 +539,7 @@ def test_realize_dim5_round_trip_random():
 
 # Illegal rank-3 inputs: (0,0,1) twice in a row fails adjacency.
 ILLEGAL_POSITIONED = space(3, (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1))
-ILLEGAL_MOVED = ILLEGAL_POSITIONED.rotated(1)
+ILLEGAL_MOVED = space(3, (0, 1, 0), (0, 0, 1), (0, 0, 1), (1, 0, 0))
 ILLEGAL_FIVE = space(3, (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (1, 1, 1))
 
 
@@ -569,7 +571,7 @@ def test_dim5_solvers_check_adjacency_once(monkeypatch):
     # pi1 is Z/gcd(2, 4) = Z/2: classify_dim5 reports it, realize_dim5 refuses.
     cyclic = space(3, (1, 0, 0), (0, 1, 0), (1, 0, 2), (1, 1, 4))
     for positioned in (dim5_orbit_space(DIM5_EXAMPLE), cyclic):
-        moved = positioned.rotated(1)
+        moved = space(3, *positioned.weights[1:], positioned.weights[0])
         assert in_canonical_position(positioned) and not in_canonical_position(moved)
         for target, passes in ((positioned, 1), (moved, 0)):
             calls.clear()
@@ -625,12 +627,12 @@ def test_extension_examples():
     assert out.witness == T2ActionParams(a=2, b=1, c=1, d=3, n=1, k=-1, m=0, l=-2)
 
     out = extend_circle_to_t2(CircleActionParams(1, 1, 1, 1))
-    assert out.extended
+    assert out.status is ExtensionStatus.EXTENDED
     assert (out.witness.a, out.witness.b, out.witness.c, out.witness.d) == (1, 1, 1, 1)
     assert is_free_t2(out.witness).free
 
     out = extend_circle_to_t2(CircleActionParams(1, 1, 0, 0))
-    assert out.extended
+    assert out.status is ExtensionStatus.EXTENDED
     assert out.witness == split_t2_family(0, 0)
 
     out = extend_circle_to_t2(CircleActionParams(-1, 3, 16, 5))
@@ -726,8 +728,9 @@ def test_extension_exhaustive_small():
         if not is_free_circle(p):
             continue
         out = extend_circle_to_t2(p)
-        assert out.extended == brute_extension_exists(a, b, c, d)
-        if out.extended:
+        extended = out.status is ExtensionStatus.EXTENDED
+        assert extended == brute_extension_exists(a, b, c, d)
+        if extended:
             w = out.witness
             assert (w.a, w.b, w.c, w.d) == (a, b, c, d)
             assert is_free_t2(w).free
@@ -826,6 +829,8 @@ INTEGER_ENTRY_POINTS = {
     "WeightedOrbitSpace": lambda x: WeightedOrbitSpace(2, ((x, 0), (0, 1), (1, 0), (0, 1))),
     "IntMatrix.from_rows": lambda x: IntMatrix.from_rows([[x, 2]]),
     "unimodular_complete": lambda x: unimodular_complete([(x, 2)]),
+    "hermite_normal_form": lambda x: hermite_normal_form([(x, 2)]),
+    "kernel_basis": lambda x: kernel_basis([(x, 2)], 2),
     "subtorus_acts_freely": lambda x: subtorus_acts_freely(W_SPLIT, ((0, 0, x, 0), (0, 0, 0, 1))),
     "induced_orbit_space subtorus": lambda x: induced_orbit_space(
         W_SPLIT, ((0, 0, x, 0), (0, 0, 0, 1))

@@ -216,6 +216,54 @@ def test_legal_verdicts(capsys):
     assert "[[0,1]]" in out.replace(" ", "").replace("\n", ",")
 
 
+# legal's stdout and exit code, byte for byte, per input: json, then table.
+# The second input is legal but spans only a plane, the third is illegal,
+# and the fourth is simply connected although no three of its weights have
+# determinant +-1.
+LEGAL_PINS = (
+    (
+        "2",
+        "(1,0),(0,1),(1,0),(2,1)",
+        EXIT_OK,
+        '{"failing_pairs":[],"legal":true,"pi1_bound":"1","simply_connected":true,'
+        '"spans":true,"verb":"legal"}\n',
+        "legal: true\nfailing_pairs: []\nspans: true\npi1_bound: 1\nsimply_connected: true\n",
+    ),
+    (
+        "3",
+        "(1,0,0),(0,1,0),(1,1,0)",
+        EXIT_OK,
+        '{"failing_pairs":[],"legal":true,"pi1_bound":"Z","simply_connected":false,'
+        '"spans":false,"verb":"legal"}\n',
+        "legal: true\nfailing_pairs: []\nspans: false\npi1_bound: Z\nsimply_connected: false\n",
+    ),
+    (
+        "2",
+        "(1,0),(2,0),(3,0)",
+        EXIT_DOMAIN,
+        '{"failing_pairs":[[0,1],[1,2],[2,0]],"legal":false,"pi1_bound":"Z",'
+        '"simply_connected":false,"spans":false,"verb":"legal"}\n',
+        "legal: false\nfailing_pairs: [[0,1],[1,2],[2,0]]\nspans: false\npi1_bound: Z\n"
+        "simply_connected: false\n",
+    ),
+    (
+        "3",
+        "(1,0,0),(0,1,0),(1,0,2),(0,2,3)",
+        EXIT_OK,
+        '{"failing_pairs":[],"legal":true,"pi1_bound":"1","simply_connected":true,'
+        '"spans":true,"verb":"legal"}\n',
+        "legal: true\nfailing_pairs: []\nspans: true\npi1_bound: 1\nsimply_connected: true\n",
+    ),
+)
+
+
+def test_legal_output_bytes_are_pinned(capsys):
+    for rank, weights, code, json_out, table_out in LEGAL_PINS:
+        for fmt, expected in (("json", json_out), ("table", table_out)):
+            argv = ("legal", "--rank", rank, "--weights", weights, "--format", fmt)
+            assert invoke(capsys, *argv)[:2] == (code, expected), argv
+
+
 def test_canon_matches_library(capsys):
     weights = "(3,1),(7,2),(3,1),(2,1)"
     code, out, _ = invoke(

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -36,7 +37,6 @@ from torusorbits.orbit_space import (
     normalize_weight,
     pair_is_legal,
     pi1_bound,
-    reversed_space,
 )
 
 from support import (
@@ -78,11 +78,16 @@ def test_space_validation():
     assert s.n_weights == 2
 
 
-def test_rotation():
-    s = space(2, (1, 0), (0, 1), (1, 1))
-    assert s.rotated(1).weights == ((0, 1), (1, 1), (1, 0))
-    assert s.rotated(3).weights == s.weights
-    assert s.rotated(-1).weights == ((1, 1), (1, 0), (0, 1))
+def test_rank_is_read_by_the_integer_rule():
+    # Unread, a float rank is stored and printed ("rank 2.0"), and then
+    # breaks canonical_form's slicing with a bare TypeError.
+    weights = ((1, 0), (0, 1), (1, 0), (2, 1))
+    for bad in (2.0, 2.5, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"entry {bad!r} is not an integer")):
+            WeightedOrbitSpace(bad, weights)
+    s = WeightedOrbitSpace(np.int64(2), weights)
+    assert type(s.rank) is int
+    assert str(s) == "rank 2: (1,0),(0,1),(1,0),(2,1)"
 
 
 # --- pair legality and the report
@@ -118,46 +123,39 @@ def test_pair_legality_rank2_is_determinant():
 
 
 def test_legality_report_frozen_examples():
-    rep = is_legal(space(2, (1, 0), (0, 1), (1, 0), (2, 1)))
+    s = space(2, (1, 0), (0, 1), (1, 0), (2, 1))
+    rep = is_legal(s)
     assert rep.legal and not rep.failing_pairs
-    assert rep.spans
-    assert rep.simply_connected_certificate == (0, 1)
+    assert pi1_bound(s).is_trivial
 
     rep = is_legal(space(2, (1, 0), (1, 0)))
     assert not rep.legal
     assert rep.failing_pairs == ((0, 1),)
 
-    rep = is_legal(space(3, (1, 0, 0), (0, 1, 0), (1, 1, 2), (1, 1, 3)))
-    assert rep.legal
-    assert rep.spans
-    assert rep.simply_connected_certificate is not None
+    s = space(3, (1, 0, 0), (0, 1, 0), (1, 1, 2), (1, 1, 3))
+    assert is_legal(s).legal
+    assert pi1_bound(s).free_rank == 0
 
 
 def test_witness_and_spans_cases():
+    # The weights span Z^rank exactly when pi1_bound has free rank 0.
     # All weights on one line: nothing spans, so a circle factor splits off.
-    rep = is_legal(space(2, (1, 0), (2, 0), (3, 0)))
-    assert not rep.spans
-    assert rep.simply_connected_certificate is None
-    assert is_legal(space(2, (1, 0), (2, 0), (3, 0))).simply_connected_certificate is None
+    assert pi1_bound(space(2, (1, 0), (2, 0), (3, 0))) == AbelianGroup(1, ())
 
-    # Independent pairs exist but none has determinant +-1.
+    # Independent pairs exist but none has determinant +-1: the weights
+    # span a sublattice of index 2.
     s = space(2, (1, 0), (1, 2), (1, 4))
     pairs = list(combinations(s.weights, 2))
     dets = [x[0] * y[1] - x[1] * y[0] for x, y in pairs]
     assert sorted(abs(d) for d in dets) == [2, 2, 4]
-    rep = is_legal(s)
-    assert rep.spans
-    assert rep.simply_connected_certificate is None
-
-    assert is_legal(space(2, (1, 0), (0, 1), (1, 0), (2, 1))).simply_connected_certificate == (0, 1)
+    assert pi1_bound(s) == AbelianGroup(0, (2,))
 
 
 def test_witness_not_necessary_at_rank3():
-    # Trivial pi1 bound without any determinant +-1 triple: the certificate
+    # Trivial pi1 bound without any determinant +-1 triple: a unit triple
     # is sufficient for simple connectedness but not necessary.
     s = space(3, (1, 0, 0), (0, 1, 0), (1, 0, 2), (0, 2, 3))
-    rep = is_legal(s)
-    assert rep.legal
+    assert is_legal(s).legal
     triples = combinations(range(4), 3)
     from torusorbits.lattice import determinant
 
@@ -165,7 +163,6 @@ def test_witness_not_necessary_at_rank3():
         determinant(IntMatrix.from_rows([s.weights[i] for i in t])) for t in triples
     ]
     assert all(abs(d) > 1 for d in dets)
-    assert rep.simply_connected_certificate is None
     assert pi1_bound(s).is_trivial
 
 
@@ -634,7 +631,7 @@ def test_oriented_canonicalize_refines():
     s = space(2, (1, 0), (0, 1), (1, 0), (2, 1))
     canon_free, _ = canonicalize(s)
     canon_fixed, _ = canonicalize(s, oriented=True)
-    rev_fixed, _ = canonicalize(reversed_space(s), oriented=True)
+    rev_fixed, _ = canonicalize(space(2, *s.weights[::-1]), oriented=True)
     # The unoriented form is the smaller of the two oriented forms.
     assert min(zigzag_key(canon_fixed.weights), zigzag_key(rev_fixed.weights)) == zigzag_key(
         canon_free.weights
@@ -660,8 +657,8 @@ def test_are_equivalent_frozen_examples():
     k4 = space(2, (1, 0), (0, 1), (1, 0), (4, 1))
     assert are_equivalent(k2, k2_neg)
     assert not are_equivalent(k2, k4)
-    assert are_equivalent(k2, k2.rotated(1))
-    assert are_equivalent(k2, reversed_space(k2))
+    assert are_equivalent(k2, space(2, *k2.weights[1:], k2.weights[0]))
+    assert are_equivalent(k2, space(2, *k2.weights[::-1]))
 
 
 def test_are_equivalent_rank_mismatch():
