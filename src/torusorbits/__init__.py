@@ -1,5 +1,7 @@
 """Exact tools for weighted orbit spaces of low-dimensional torus actions."""
 
+from types import ModuleType as _ModuleType
+
 from .biquotient import (
     ARC_SUPPORTS,
     VERTEX_SUPPORTS,
@@ -93,4 +95,6 @@ from .orbit_space import (
     require_legal,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules stay attributes of the package, but `import *` binds none.
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

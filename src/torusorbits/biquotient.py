@@ -27,7 +27,6 @@ from .classify import (
     classify_dim4,
     cross_factor_gcds,
     dim4_family,
-    _read_dim5_params,
     extract_dim5_params,
     in_canonical_position,
 )
@@ -565,8 +564,7 @@ def realize_dim5(target: WeightedOrbitSpace) -> Dim5Params:
     through the induced orbit space of the z-circle is verified.
 
     Rank and weight count are checked first, then legality by canonical_form
-    or extract_dim5_params.  The parameters of a canonical form are read
-    without a second adjacency pass, since its search checked the pairs.
+    or extract_dim5_params, which reads the parameters off either.
 
     Raises:
         UnsupportedRankError: target rank is not 3.
@@ -580,7 +578,7 @@ def realize_dim5(target: WeightedOrbitSpace) -> Dim5Params:
     if target.n_weights != 4:
         raise UnsupportedWeightCountError(f"{target.n_weights} weights, expected 4")
     canon = None if in_canonical_position(target) else canonical_form(target)
-    params = extract_dim5_params(target) if canon is None else _read_dim5_params(canon)
+    params = extract_dim5_params(target if canon is None else canon)
     _verify_round_trip(params, Z_CIRCLE, _Z_COMPLEMENT, target, canon)
     return params
 

@@ -236,12 +236,15 @@ def extract_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
     (m, n) is the deterministic Bezout pair for a*m + c*n = 1 (minimal |n|,
     ties broken by n >= 0), and the shears are k = -(x*m + p*n),
     l = -(y*m + q*n).  The _dim5_weights of the parameters are re-checked
-    against the input.  classify_dim5 and realize_dim5 share this reading;
-    on a canonical form they call _read_dim5_params, the reading after the
-    position and legality checks, as the form's search checked the pairs.
+    against the input.
 
-    Legality of (e2, x3), (x3, x4), (x4, e1) is three of the four gcd
-    conditions; only gcd(r,z) = 1, simple connectivity, can still fail.
+    Legality is read off the parameters.  (e1, e2) is always legal, and once
+    gcd(a,c) = gcd(r,z) = 1, gcd(a,d) = gcd(z,y), gcd(b,c) = gcd(p,r) and
+    gcd(b,d) are the gcds of x4 ^ e1, e2 ^ x3 and x3 ^ x4 = (d, -b, p*y - q*x):
+    z(p*y - q*x) = y*b - x*d and r(p*y - q*x) = q*b - p*d put p*y - q*x in
+    the ideal (b, d).  So require_legal runs only when a condition fails:
+    before the gcd(r,z) error, to name an illegal pair first, and before the
+    VerificationError of a legal input Dim5Params refuses (ruled out above).
 
     Raises:
         IllegalOrbitSpaceError: some adjacent pair is not legal.
@@ -250,20 +253,18 @@ def extract_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
             weights (an implementation fault; never bad user input).
     """
     _require_canonical_position(s)
-    require_legal(s)
-    return _read_dim5_params(s)
-
-
-def _read_dim5_params(s: WeightedOrbitSpace) -> Dim5Params:
-    """extract_dim5_params after its position and legality checks, for a
-    canonical form, whose search has checked the adjacent pairs."""
     x3, x4 = s.weights[2], s.weights[3]
     (p, q, r), (x, y, z) = x3, x4
     if (g := gcd(r, z)) != 1:
+        require_legal(s)
         raise GcdConditionViolatedError(f"gcd(r,z) = {g}, expected 1")
     a, b, c, d = z, p * z - r * x, r, q * z - r * y
     _, n, m = gcd_ext(c, a)
-    params = Dim5Params(a=a, b=b, c=c, d=d, k=-(x * m + p * n), l=-(y * m + q * n), m=m, n=n)
+    try:
+        params = Dim5Params(a=a, b=b, c=c, d=d, k=-(x * m + p * n), l=-(y * m + q * n), m=m, n=n)
+    except ValueError as refusal:
+        require_legal(s)
+        raise VerificationError(f"legal weights {(x3, x4)}: {refusal}") from refusal
     if (got := _dim5_weights(params)) != (x3, x4):
         raise VerificationError(f"parameters {params} give weights {got}, not {(x3, x4)}")
     return params
@@ -289,7 +290,7 @@ def classify_dim5(s: WeightedOrbitSpace) -> ManifoldType:
     the circle_quotient_type of the circle of extract_dim5_params.  Inputs
     not already in canonical position are canonicalized first; the type is
     constant on equivalence classes.  Rank and weight count are checked
-    first, then legality by canonical_form or extract_dim5_params, once.
+    first, then legality by canonical_form or extract_dim5_params.
 
     Raises:
         UnsupportedRankError: rank is not 3.
@@ -312,9 +313,9 @@ def classify_dim5(s: WeightedOrbitSpace) -> ManifoldType:
         return not_simply_connected(bound)
     positioned = s if in_canonical_position(s) else canonical_form(s)
     try:
-        params = (extract_dim5_params if positioned is s else _read_dim5_params)(positioned)
+        params = extract_dim5_params(positioned)
     except GcdConditionViolatedError:
-        # The only condition legality leaves open: pi1_dim5_exact is Z/gcd(r, z).
+        # Raised after the legality check: pi1_dim5_exact is Z/gcd(r, z).
         (_, _, r), (_, _, z) = positioned.weights[2:]
         return not_simply_connected(cyclic_group(gcd(r, z)))
     return circle_quotient_type(params.a, params.b, params.c, params.d)

@@ -474,14 +474,14 @@ def canonicalize(
     start reaching the key with its frame F and every move reaching the key
     from F.  When one move is left with s3 resolved, exactly one matrix
     reaches the key, and the transform is that move times F, read off in
-    closed form with no second search; it is certified by applying it to
-    the start.  At rank 3 anything else is a tie: the start is framed on
-    z0, the row that unimodular_complete([x, y]) adds, whose Smith form runs
-    only here, _least runs again and its key must equal the searched key.
-    Of the minimal moves the first with s2 = +1, then s3 = +1 (an unresolved
-    s3 counts as +1), then the least u, then the least v gives the
-    transform; at rank 2 the frame is unique.  Callers that discard the
-    transform should call canonical_form.
+    closed form with no second search.  At rank 3 anything else is a tie:
+    the start is framed on z0, the row that unimodular_complete([x, y])
+    adds, whose Smith form runs only here, and _least runs again.  Of its
+    minimal moves the first with s2 = +1, then s3 = +1 (an unresolved s3
+    counts as +1), then the least u, then the least v gives the transform;
+    at rank 2 the frame is unique.  Every transform is certified by applying
+    it to the start, which for a tie also shows that its frame reached the
+    key.  Callers that discard the transform should call canonical_form.
 
     Args:
         s: a legal orbit space of rank 2 or 3.
@@ -495,13 +495,10 @@ def canonicalize(
             or the completion is not unimodular (implementation faults).
     """
     key, seq, frame, moves = _search(s, oriented)
-    tied = s.rank == 3 and (len(moves) > 1 or not moves[0][3])
-    if tied:
+    if s.rank == 3 and (len(moves) > 1 or not moves[0][3]):
         x, y = seq[:2]
         frame = _frame(x, y, unimodular_complete((x, y)).entries[2])
-        tie_key, live = _least([(_base(frame, seq[2:]), None)], 3)
-        if tie_key != key:
-            raise VerificationError(f"{seq} based on {frame} reaches {tie_key}, not {key}")
+        live = _least([(_base(frame, seq[2:]), None)], 3)[1]
         moves = [min((e[1:5] for e in live), key=lambda m: (-m[0], -(m[3] or 1), m[1], m[2]))]
     s2, u, v, s3 = max(moves)  # one move, or at rank 2 s2 = +-1
     if s.rank == 2:
@@ -513,7 +510,7 @@ def canonicalize(
         transform = ((a + u * g, b + u * h, c + u * i),
                      (s2 * d + v * g, s2 * e + v * h, s2 * f + v * i), (s3 * g, s3 * h, s3 * i))
     form = _decoded(key, s.rank)
-    for image, w in zip(_base(transform, seq), form.weights) if not tied else ():
+    for image, w in zip(_base(transform, seq), form.weights):
         w += (0,) * (3 - s.rank)
         if image != w and image != (-w[0], -w[1], -w[2]):
             raise VerificationError(f"{transform} sends {seq} to {image}, not to {w}")

@@ -556,13 +556,14 @@ def test_rank3_error_order_is_shared_by_realize_and_classify():
 
 
 def test_dim5_solvers_check_adjacency_once(monkeypatch):
-    # A positioned input is checked by one adjacency pass, in
-    # extract_dim5_params.  A moved input gets none: canonical_form's search
-    # proved legality from its cross products, and the parameters are read
-    # off the canonical form without a second pass.  classify_dim5 reads a
-    # nontrivial pi1 off the reader instead of checking legality again in
-    # pi1_dim5_exact.  An illegal moved input is refused by the one pass the
-    # search runs.
+    # extract_dim5_params reads legality off its parameters, so it runs one
+    # adjacency pass exactly when the reading fails, and canonical_form's
+    # search runs none on a legal input, whose cross products prove it.  A
+    # simply connected input, positioned or moved, gets no pass; one with
+    # gcd(r, z) != 1 gets one, in the reader, before its gcd error.
+    # classify_dim5 reads a nontrivial pi1 off that error instead of checking
+    # legality again in pi1_dim5_exact.  An illegal input is refused by one
+    # pass: the reader's when positioned, the search's when moved.
     calls = []
     failing_pairs = orbit_space._failing_pairs
     monkeypatch.setattr(
@@ -570,10 +571,10 @@ def test_dim5_solvers_check_adjacency_once(monkeypatch):
     )
     # pi1 is Z/gcd(2, 4) = Z/2: classify_dim5 reports it, realize_dim5 refuses.
     cyclic = space(3, (1, 0, 0), (0, 1, 0), (1, 0, 2), (1, 1, 4))
-    for positioned in (dim5_orbit_space(DIM5_EXAMPLE), cyclic):
+    for positioned, passes in ((dim5_orbit_space(DIM5_EXAMPLE), 0), (cyclic, 1)):
         moved = space(3, *positioned.weights[1:], positioned.weights[0])
         assert in_canonical_position(positioned) and not in_canonical_position(moved)
-        for target, passes in ((positioned, 1), (moved, 0)):
+        for target in (positioned, moved):
             calls.clear()
             manifold_type = classify_dim5(target)
             assert len(calls) == passes
@@ -586,10 +587,11 @@ def test_dim5_solvers_check_adjacency_once(monkeypatch):
                 realize_dim5(target)
             assert len(calls) == passes
     assert not in_canonical_position(ILLEGAL_MOVED)
-    for solver in (classify_dim5, realize_dim5):
+    illegal = (ILLEGAL_POSITIONED, ILLEGAL_MOVED)
+    for solver, target in product((classify_dim5, realize_dim5), illegal):
         calls.clear()
         with pytest.raises(IllegalOrbitSpaceError, match="failing adjacent pairs"):
-            solver(ILLEGAL_MOVED)
+            solver(target)
         assert len(calls) == 1
 
 

@@ -250,6 +250,15 @@ def test_every_rank3_row_round_trips(monkeypatch):
         census._build_row(3, rows[0].weights)
 
 
+def test_rank3_rows_run_no_adjacency_pass(monkeypatch):
+    # The enumeration keeps legal cycles only, and each row's realize_dim5
+    # reads legality off the parameters of its simply connected class, so no
+    # row runs the adjacency pass.
+    passes = count_calls(monkeypatch, orbit_space, "_failing_pairs")
+    assert len(run_census(3, 2)) == 945
+    assert passes == []
+
+
 def test_rank3_bound1_contents():
     rows = run_census(3, 1)
     target = WeightedOrbitSpace(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)))

@@ -24,6 +24,7 @@ from torusorbits.classify import (
     classify_dim4,
     classify_dim5,
     connected_sum_dim4,
+    cross_factor_gcds,
     dim4_family,
     dim5_orbit_space,
     extract_dim5_params,
@@ -210,6 +211,13 @@ FAULTS = (
         "lambda params: ((0, 0, 1), (0, 0, 1))",
         "extract_dim5_params(WeightedOrbitSpace(3, ((1, 0, 0), (0, 1, 0), (1, 1, 2), (1, 1, 3))))",
     ),
+    # Dim5Params refuses the parameters of a legal input.
+    (
+        "classify",
+        "Dim5Params",
+        "lambda params=classify.Dim5Params, **fields: params(**{**fields, 'm': fields['m'] + 1})",
+        "extract_dim5_params(WeightedOrbitSpace(3, ((1, 0, 0), (0, 1, 0), (1, 1, 2), (1, 1, 3))))",
+    ),
     # The diagram type contradicts the sign product +1 of the split family.
     (
         "biquotient",
@@ -234,6 +242,15 @@ FAULTS = (
         "(key, seq, frame, [(m[0], m[1] + 1, *m[2:]) for m in moves]))(*search(s, oriented))",
         "canonicalize(WeightedOrbitSpace(3, ((0, 1, 1), (1, 0, 0), (2, 1, 2), (1, 2, 3))))",
     ),
+    # On a tie, the completion row that frames the start comes back doubled,
+    # so the transform of the tied input (TIED_MOVE_CASES[0]) is wrong.
+    (
+        "orbit_space",
+        "unimodular_complete",
+        "lambda rows, complete=orbit_space.unimodular_complete: (lambda m: lattice.IntMatrix("
+        "(*m.entries[:2], tuple(2 * e for e in m.entries[2]))))(complete(rows))",
+        "canonicalize(WeightedOrbitSpace(3, ((0, 1, 1), (1, -1, 1), (1, 0, 0))))",
+    ),
 )
 
 
@@ -241,8 +258,8 @@ FAULTS = (
     "module, name, replacement, call",
     FAULTS,
     ids=[
-        "classify-dim4", "realize-dim4", "extract-dim5", "t2-quotient", "inverse-product",
-        "canon-transform",
+        "classify-dim4", "realize-dim4", "extract-dim5", "extract-refusal", "t2-quotient",
+        "inverse-product", "canon-transform", "canon-tie-transform",
     ],
 )
 def test_implementation_faults_raise_verification_error(monkeypatch, module, name, replacement, call):
@@ -353,6 +370,22 @@ def test_gcd_bd_follows_from_triple_condition():
         if gcd(b, d, p * y - q * x) == 1:
             assert gcd(b, d) == 1
         done += 1
+
+
+def test_legality_is_the_free_circle_once_gcd_rz_is_1():
+    # extract_dim5_params reads legality off its parameters.  Every
+    # canonical-position space with primitive x3, x4 in [-3, 3]^3 and
+    # gcd(r, z) = 1 is legal exactly when its circle (a, b, c, d) is free.
+    primitive = [w for w in product(range(-3, 4), repeat=3) if gcd(*w) == 1]
+    checked = []
+    for (p, q, r), (x, y, z) in product(primitive, repeat=2):
+        if gcd(r, z) != 1:
+            continue
+        legal = is_legal(dim5_space((p, q, r), (x, y, z))).legal
+        free = cross_factor_gcds(z, p * z - r * x, r, q * z - r * y) == (1, 1, 1, 1)
+        checked.append(legal)
+        assert legal == free, ((p, q, r), (x, y, z))
+    assert (len(checked), sum(checked)) == (60_036, 31_000)
 
 
 # --- exact fundamental group

@@ -541,9 +541,9 @@ def test_census_byte_identity_subprocess():
 
 def test_optimized_interpreter_gives_the_same_verified_output():
     # python -O strips assert statements.  The round-trip certificates, the
-    # parity cross-check and canonicalize's key cross-check are explicit
-    # checks, so the output must not change and every row must still come
-    # out verified.
+    # parity cross-check and canonicalize's transform certificate are
+    # explicit checks, so the output must not change and every row must
+    # still come out verified.
     script = "from torusorbits.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
     workloads = (
         ["census", "--rank", "3", "--bound", "1", "--format", "json"],

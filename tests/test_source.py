@@ -181,8 +181,9 @@ def _resolves(dotted):
     return True
 
 
-# The package's public names.  __init__ re-exports by dir(), so this list
-# makes every addition or removal of a public name an edit here.
+# The package's public names.  __init__ re-exports every public name it
+# imports, and no submodule, so this list makes every addition or removal of
+# a public name an edit here.
 PUBLIC_NAMES = """
     ARC_SUPPORTS AbelianGroup CP2 CP2_MINUS_CP2 CP2_PLUS_CP2 CensusRow
     CircleActionParams Dim5Params ExtensionOutcome ExtensionStatus
@@ -191,15 +192,15 @@ PUBLIC_NAMES = """
     ParseError RankMismatchError S2XS2 S3TWISTS2 S3XS2 S4 S5
     SmithDecomposition T2ActionParams T2Freeness TorusOrbitsError
     UnsupportedRankError VERTEX_SUPPORTS WZ_TORUS WeightedOrbitSpace
-    Z_CIRCLE are_equivalent biquotient canonical_form canonicalize census
+    Z_CIRCLE are_equivalent canonical_form canonicalize
     census_csv census_ndjson circle_arc_isotropy_orders
-    circle_bundle_total_space circle_quotient_orbifold_orders classify
+    circle_bundle_total_space circle_quotient_orbifold_orders
     classify_dim4 classify_dim5 classify_t2_quotient connected_sum_dim4
-    determinant dim5_orbit_space errors extend_circle_to_t2
+    determinant dim5_orbit_space extend_circle_to_t2
     extract_dim5_params format_weights gcd_ext hermite_normal_form
     in_canonical_position induced_orbit_space induced_stabilizer
     invert_unimodular is_free_circle is_free_t2 is_legal kernel_basis
-    lattice mixed_t2_family normalize_weight orbit_space pair_is_legal
+    mixed_t2_family normalize_weight pair_is_legal
     pi1_bound pi1_dim5_exact primitive_weights project_slope_to_residual
     quotient_group realization_payload realize_dim4 realize_dim5
     require_legal run_census smith_normal_form split_t2_family
@@ -209,6 +210,49 @@ PUBLIC_NAMES = """
 
 def test_package_api_is_pinned():
     assert sorted(torusorbits.__all__) == PUBLIC_NAMES
+
+
+# The private names each src module imports from a sibling module, as
+# `from .module import _name`: a new private coupling is an edit here.
+PRIVATE_IMPORTS = {
+    "biquotient.py": [
+        "lattice._IntegerFields", "lattice._integers",
+        "orbit_space._cross", "orbit_space._normalized", "orbit_space._space",
+    ],
+    "census.py": [
+        "lattice._integers", "orbit_space._space", "orbit_space._unzigzag", "orbit_space._zigzag",
+    ],
+    "classify.py": ["lattice._IntegerFields"],
+    "orbit_space.py": ["lattice._integers"],
+}
+
+
+def _private_imports(source):
+    """Sorted "module.name" of each private name a source imports by a
+    relative `from .module import _name`."""
+    return sorted(
+        f"{node.module or ''}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_imports_between_modules_are_pinned():
+    found = {path.name: names for path in MODULES if (names := _private_imports(path.read_text()))}
+    assert found == PRIVATE_IMPORTS
+
+
+def test_the_private_import_lint_reads_relative_imports():
+    source = (
+        "from .a import _x, y\n"
+        "from torusorbits.b import _z\n"
+        "def f():\n"
+        "    from .c import _w as v\n"
+        "from . import _d\n"
+    )
+    assert _private_imports(source) == ["._d", "a._x", "c._w"]
 
 
 def test_every_package_name_the_benchmark_reads_exists():
