@@ -46,6 +46,7 @@ from .lattice import (
     IntMatrix,
     _IntegerFields,
     _integers,
+    _matrix,
     gcd_ext,
     invert_unimodular_4x4,
     kernel_basis,
@@ -209,7 +210,7 @@ def torus_weight_matrix(params: T2ActionParams | Dim5Params) -> IntMatrix:
     det = a * m + c * n
     if det not in (1, -1):
         raise ValueError(f"weight matrix determinant {det}, expected a unit")
-    return IntMatrix(((0, 0, -n, a), (1, 0, k, b), (0, 0, m, c), (0, 1, l, d)))
+    return _matrix(((0, 0, -n, a), (1, 0, k, b), (0, 0, m, c), (0, 1, l, d)))
 
 
 def subtorus_acts_freely(w: IntMatrix, h_rows: Sequence[Sequence[int]]) -> bool:
@@ -226,7 +227,7 @@ def subtorus_acts_freely(w: IntMatrix, h_rows: Sequence[Sequence[int]]) -> bool:
     exponents coprime; h = 2 needs |det| = 1; h > 2 exceeds the block's rank
     and is never free.
     """
-    return _acts_freely(IntMatrix.from_rows(w.entries), tuple(map(_integers, h_rows)))
+    return _acts_freely(w, tuple(map(_integers, h_rows)))
 
 
 def _acts_freely(w: IntMatrix, e: tuple[tuple[int, ...], ...]) -> bool:
@@ -269,12 +270,12 @@ def _residual_basis(
 
     Cached: realizations quotient by the same few subtori in the same
     coordinates.  Raises ValueError unless the rows form a 4x4 unimodular
-    basis (IntMatrix refuses ragged rows, the inverse any other shape).
+    basis (the closed-form inverse refuses any other shape, ragged too).
     """
     if complement is None:
         complement = unimodular_complete(h_rows).entries[len(h_rows):]
     try:
-        p_inv = invert_unimodular_4x4(IntMatrix(h_rows + complement))
+        p_inv = invert_unimodular_4x4(_matrix(h_rows + complement))
     except ValueError:
         raise ValueError("complement rows do not complete the subtorus to a basis") from None
     return complement, tuple(zip(*p_inv.entries))[len(h_rows):]
@@ -785,6 +786,7 @@ def circle_quotient_orbifold_orders(r: int, s: int) -> tuple[int, int, int, int]
     gives a 3-orbifold whose four boundary arcs see isotropy of orders
     2, |2(r-s)+1|, 2, |2(r+s)+1|.
     """
+    r, s = _integers((r, s))
     t2 = split_t2_family(r, 1)
     h_rows = ((t2.a, t2.b, t2.c, t2.d), (-t2.n, t2.k, t2.m, t2.l))
     c_rows = ((0, 1, 0, 0), (0, 0, 0, 1))

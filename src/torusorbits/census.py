@@ -449,6 +449,7 @@ def _header(rows, rank: int, bound: int) -> dict:
 
 
 def census_ndjson(rows: tuple[CensusRow, ...], rank: int, bound: int) -> str:
+    rank, bound = _integers((rank, bound))
     lines = [_dump(_header(rows, rank, bound))]
     for row in rows:
         lines.append(

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedWeightCountError,
     VerificationError,
 )
-from .lattice import AbelianGroup, _IntegerFields, cyclic_group, gcd_ext
+from .lattice import AbelianGroup, _IntegerFields, _integers, cyclic_group, gcd_ext
 from .orbit_space import (
     WeightedOrbitSpace,
     canonical_form,
@@ -62,6 +62,7 @@ def connected_sum_dim4(count: int) -> ManifoldType:
     Raises:
         ValueError: count < 3 (fewer summands have a named type).
     """
+    count = count if type(count) is int else _integers((count,))[0]
     if count < 3:
         raise ValueError(f"connected sum of {count} summands, expected at least 3")
     return ManifoldType("ConnectedSumDim4", count=count)

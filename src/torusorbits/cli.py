@@ -440,10 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except TorusOrbitsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
+    except (TorusOrbitsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     out = command.flags.get("out")

@@ -34,9 +34,6 @@ def _integers(entries: Iterable) -> Vector:
         raise
 
 
-_INT_TYPE = {int}
-
-
 class _IntegerFields:
     """Base of the frozen dataclasses whose fields are all integers: the
     fields are read by _integers on construction, so a float or a string
@@ -45,7 +42,7 @@ class _IntegerFields:
     def __post_init__(self) -> None:
         fields = vars(self)
         # Fields that are all ints already are left as they are.
-        if set(map(type, fields.values())) != _INT_TYPE:
+        if set(map(type, fields.values())) != {int}:
             for name, value in zip(tuple(fields), _integers(tuple(fields.values()))):
                 object.__setattr__(self, name, value)
 
@@ -57,6 +54,8 @@ def gcd_ext(a: int, c: int) -> tuple[int, int, int]:
     coefficient pairs, |s| is minimal, with ties broken by s >= 0; t is then
     forced (t = 0 when c == 0).  gcd_ext(0, 0) == (0, 0, 0).
     """
+    if type(a) is not int or type(c) is not int:
+        a, c = _integers((a, c))
     if a == 0 and c == 0:
         return (0, 0, 0)
     # Plain extended Euclid for a base solution.
@@ -86,22 +85,21 @@ def gcd_ext(a: int, c: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples."""
+    """Immutable integer matrix: a tuple of row tuples of ints, read by
+    _integers on construction; _matrix builds one from ints already held."""
 
     entries: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(map(_integers, self.entries)))
         widths = {len(row) for row in self.entries}
         if len(widths) > 1:
             raise ValueError(f"ragged rows of lengths {sorted(widths)}")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(map(_integers, rows)))
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        n = n if type(n) is int else _integers((n,))[0]
+        return _matrix((int(i == j) for j in range(n)) for i in range(n))
 
     @property
     def rows(self) -> int:
@@ -112,10 +110,11 @@ class IntMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
+        return _matrix(zip(*self.entries))
 
     def apply(self, v: Sequence[int]) -> Vector:
-        """Matrix-vector product (v as a column)."""
+        """Matrix-vector product (v as a column, read by _integers)."""
+        v = _integers(v)
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} for a matrix with {self.cols} columns")
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
@@ -126,11 +125,8 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         cols = other.transpose().entries
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
+        return _matrix(
+            (sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries
         )
 
     def is_unimodular(self) -> bool:
@@ -138,6 +134,14 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
+
+
+def _matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
+    """The matrix of rows of ints the library built, each as long as the
+    first, as tuples: __post_init__ is skipped."""
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "entries", tuple(map(tuple, rows)))
+    return m
 
 
 def determinant(m: IntMatrix) -> int:
@@ -278,11 +282,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
-    return SmithDecomposition(_frozen(u), _frozen(a), _frozen(v))
-
-
-def _frozen(rows: list[list[int]]) -> IntMatrix:
-    return IntMatrix(tuple(tuple(row) for row in rows))
+    return SmithDecomposition(_matrix(u), _matrix(a), _matrix(v))
 
 
 @dataclass(frozen=True)
@@ -363,8 +363,15 @@ def hermite_normal_form(
     work = [list(_integers(row)) for row in rows]
     if ncols is None:
         ncols = len(work[0]) if work else 0
+    ncols = ncols if type(ncols) is int else _integers((ncols,))[0]
     if any(len(row) != ncols for row in work):
         raise ValueError(f"rows must all have {ncols} entries")
+    return _hermite(work, ncols)
+
+
+def _hermite(work: list[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
+    """hermite_normal_form of a list of int rows, each ncols long, which it
+    reorders and replaces in place but does not read again."""
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
@@ -401,10 +408,10 @@ def invert_unimodular(m: IntMatrix) -> IntMatrix:
     augmented = [
         list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)
     ]
-    reduced = hermite_normal_form(augmented, 2 * n)
+    reduced = _hermite(augmented, 2 * n)
     if len(reduced) != n or any(reduced[i][i] != 1 for i in range(n)):
         raise ValueError(f"matrix has determinant {determinant(m)}, not +-1")
-    return IntMatrix(tuple(row[n:] for row in reduced))
+    return _matrix(row[n:] for row in reduced)
 
 
 # The entries of the 4x4 identity, row by row.
@@ -421,35 +428,27 @@ def invert_unimodular_4x4(m: IntMatrix) -> IntMatrix:
     multiplying by it.  The result is checked by one product.
 
     Raises:
-        ValueError: m is not 4x4, an entry is not an integer, or its
-            determinant is not +-1.
+        ValueError: m is not 4x4 or its determinant is not +-1.
         VerificationError: m times the computed inverse is not the identity
             (an implementation fault).
     """
     if m.rows != 4 or m.cols != 4:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, expected 4x4")
-    try:
-        (a00, a01, a02, a03), (a10, a11, a12, a13) = m.entries[:2]
-        (a20, a21, a22, a23), (a30, a31, a32, a33) = m.entries[2:]
-        s0 = a00 * a11 - a10 * a01
-        s1 = a00 * a12 - a10 * a02
-        s2 = a00 * a13 - a10 * a03
-        s3 = a01 * a12 - a11 * a02
-        s4 = a01 * a13 - a11 * a03
-        s5 = a02 * a13 - a12 * a03
-        c5 = a22 * a33 - a32 * a23
-        c4 = a21 * a33 - a31 * a23
-        c3 = a21 * a32 - a31 * a22
-        c2 = a20 * a33 - a30 * a23
-        c1 = a20 * a32 - a30 * a22
-        c0 = a20 * a31 - a30 * a21
-        det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-    except TypeError:
-        det = None
-    if type(det) is not int:
-        # Some entry is not an int: read them all by the integer rule, which
-        # raises ValueError or gives ints, and start again.
-        return invert_unimodular_4x4(IntMatrix.from_rows(m.entries))
+    (a00, a01, a02, a03), (a10, a11, a12, a13) = m.entries[:2]
+    (a20, a21, a22, a23), (a30, a31, a32, a33) = m.entries[2:]
+    s0 = a00 * a11 - a10 * a01
+    s1 = a00 * a12 - a10 * a02
+    s2 = a00 * a13 - a10 * a03
+    s3 = a01 * a12 - a11 * a02
+    s4 = a01 * a13 - a11 * a03
+    s5 = a02 * a13 - a12 * a03
+    c5 = a22 * a33 - a32 * a23
+    c4 = a21 * a33 - a31 * a23
+    c3 = a21 * a32 - a31 * a22
+    c2 = a20 * a33 - a30 * a23
+    c1 = a20 * a32 - a30 * a22
+    c0 = a20 * a31 - a30 * a21
+    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
     if det not in (1, -1):
         raise ValueError(f"matrix has determinant {det}, not +-1")
     adjugate = (
@@ -468,7 +467,7 @@ def invert_unimodular_4x4(m: IntMatrix) -> IntMatrix:
                      for r0, r1, r2, r3 in m.entries for v0, v1, v2, v3 in columns])
     if product != _IDENTITY_4:
         raise VerificationError(f"closed-form inverse of {m.entries} fails m @ inv == I")
-    return IntMatrix(inverse)
+    return _matrix(inverse)
 
 
 def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
@@ -479,25 +478,24 @@ def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
     the input row lattice so repeated calls agree.
 
     Raises:
+        ValueError: an entry is not an integer, or the rows are ragged, none,
+            or more than their length.
         NotCompletableError: the rows do not span a direct summand of Z^n
             (some invariant factor differs from 1).
     """
-    vecs = tuple(map(_integers, vectors))
+    rows = IntMatrix(vectors)
+    vecs, n, k = rows.entries, rows.cols, rows.rows
     if not vecs:
         raise ValueError("need at least one row")
-    n = len(vecs[0])
-    if any(len(v) != n for v in vecs):
-        raise ValueError(f"rows must all have {n} entries")
-    k = len(vecs)
     if k > n:
         raise ValueError(f"{k} rows cannot extend to a {n}x{n} basis")
-    snf = smith_normal_form(IntMatrix(vecs))
+    snf = smith_normal_form(rows)
     if snf.rank != k or any(f != 1 for f in snf.invariant_factors):
         raise NotCompletableError(
             f"rows span a sublattice with invariant factors {snf.diagonal}"
         )
     vinv = invert_unimodular(snf.V)
-    hermite = hermite_normal_form(vecs, n)
+    hermite = _hermite(list(vecs), n)
     added = []
     for w in vinv.entries[k:]:
         # Bring each pivot entry of the Hermite basis into [0, pivot).
@@ -507,7 +505,7 @@ def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
             if q:
                 w = [a - q * b for a, b in zip(w, row)]
         added.append(tuple(w))
-    out = IntMatrix(vecs + tuple(added))
+    out = _matrix(vecs + tuple(added))
     if abs(determinant(out)) != 1:
         raise VerificationError(f"completion {out.entries} is not unimodular")
     return out
@@ -523,6 +521,7 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...
     rows with a vanishing left block have their pivots in the right block,
     so they span exactly {v : m v == 0}, already in Hermite form.
     """
+    ncols = ncols if type(ncols) is int else _integers((ncols,))[0]
     nrows = len(rows)
     augmented = [
         [row[j] for row in rows] + [int(i == j) for i in range(ncols)]

@@ -32,6 +32,7 @@ from .lattice import (
     IntMatrix,
     gcd_ext,
     _integers,
+    _matrix,
     quotient_group,
     unimodular_complete,
 )
@@ -93,10 +94,6 @@ class WeightedOrbitSpace:
     def n_weights(self) -> int:
         return len(self.weights)
 
-    def weight_matrix(self) -> IntMatrix:
-        """The N x rank matrix whose rows are the weights."""
-        return IntMatrix.from_rows(self.weights)
-
     def __str__(self) -> str:
         return f"rank {self.rank}: {format_weights(self.weights)}"
 
@@ -122,8 +119,10 @@ def pair_is_legal(x: Sequence[int], y: Sequence[int]) -> bool:
     for n = 3 the minors are the entries of the cross product x ^ y.
 
     Raises:
-        ValueError: x and y have different lengths.
+        ValueError: an entry is not an integer, or x and y differ in length.
     """
+    if set(map(type, (*x, *y))) != {int}:
+        x, y = _integers(x), _integers(y)
     if len(x) != len(y):
         raise ValueError(f"weights {tuple(x)} and {tuple(y)} differ in length")
     if len(x) == 3:
@@ -178,7 +177,7 @@ def pi1_bound(s: WeightedOrbitSpace) -> AbelianGroup:
     five-dimensional four-weight case.  The weights span Z^rank exactly when
     its free rank is 0.
     """
-    return quotient_group(s.weight_matrix())
+    return quotient_group(_matrix(s.weights))
 
 
 # --- canonical forms
@@ -514,7 +513,7 @@ def canonicalize(
         w += (0,) * (3 - s.rank)
         if image != w and image != (-w[0], -w[1], -w[2]):
             raise VerificationError(f"{transform} sends {seq} to {image}, not to {w}")
-    return form, IntMatrix(transform)
+    return form, _matrix(transform)
 
 
 def are_equivalent(

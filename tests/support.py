@@ -83,7 +83,7 @@ def random_unimodular_rows(rng, n, ops=6):
 
 def random_symmetry_move(rng, s):
     """One random element of the orbit-space symmetry group applied to s."""
-    a = IntMatrix.from_rows(random_unimodular_rows(rng, s.rank))
+    a = IntMatrix(random_unimodular_rows(rng, s.rank))
     weights = [a.apply(w) for w in s.weights]
     weights = [tuple(-x for x in w) if rng.random() < 0.5 else w for w in weights]
     k = rng.randrange(len(weights))
@@ -272,7 +272,7 @@ def reference_subtorus_acts_freely(w, h_rows):
             [sum(a * b for a, b in zip(w.entries[i], row)) for row in e]
             for i in sorted(support)
         ]
-        factors = smith_normal_form(IntMatrix.from_rows(restricted)).invariant_factors
+        factors = smith_normal_form(IntMatrix(restricted)).invariant_factors
         if len(factors) != len(e) or any(f != 1 for f in factors):
             return False
     return True

@@ -94,7 +94,7 @@ def sampled_stabilizer_order(w, h_rows, c_rows, support, modulus):
     grid = np.indices((modulus,) * 4).reshape(4, -1).T
     rows = np.array([w.entries[i] for i in sorted(support)], dtype=np.int64)
     kernel_pts = grid[((grid @ rows.T) % modulus == 0).all(axis=1)]
-    p = IntMatrix.from_rows(list(h_rows) + list(c_rows))
+    p = IntMatrix(list(h_rows) + list(c_rows))
     p_inv = invert_unimodular(p)
     h = len(h_rows)
     b_t = np.array(
@@ -259,7 +259,7 @@ def test_criterion_8_property_suites():
     for _ in range(1000):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
-        a = IntMatrix.from_rows(
+        a = IntMatrix(
             [[rng.randint(-20, 20) for _ in range(ncols)] for _ in range(nrows)]
         )
         dec = smith_normal_form(a)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torusorbits
 import torusorbits.biquotient as biquotient
 import torusorbits.lattice as lattice
 import torusorbits.orbit_space as orbit_space
@@ -54,6 +55,7 @@ from torusorbits.classify import (
     Dim5Params,
     circle_quotient_type,
     classify_dim5,
+    connected_sum_dim4,
     dim5_orbit_space,
     in_canonical_position,
     not_simply_connected,
@@ -71,7 +73,7 @@ from torusorbits.errors import (
     UnsupportedWeightCountError,
     VerificationError,
 )
-from torusorbits.census import _rank3_classes
+from torusorbits.census import _rank3_classes, census_ndjson, primitive_weights, run_census
 from torusorbits.lattice import (
     AbelianGroup,
     IntMatrix,
@@ -80,11 +82,18 @@ from torusorbits.lattice import (
     gcd_ext,
     hermite_normal_form,
     invert_unimodular,
+    invert_unimodular_4x4,
     kernel_basis,
+    quotient_group,
     smith_normal_form,
     unimodular_complete,
 )
-from torusorbits.orbit_space import WeightedOrbitSpace, are_equivalent, normalize_weight
+from torusorbits.orbit_space import (
+    WeightedOrbitSpace,
+    are_equivalent,
+    normalize_weight,
+    pair_is_legal,
+)
 
 from support import (
     count_calls,
@@ -286,8 +295,8 @@ def test_stabilizer_errors():
 def test_character_matrix_must_be_unimodular():
     # The closed-form inverse decides unimodularity before anything else is
     # checked, also for a subtorus that does not act freely.
-    doubled = IntMatrix.from_rows([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    singular = IntMatrix.from_rows([[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    doubled = IntMatrix([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    singular = IntMatrix([[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     for w in (doubled, singular, IntMatrix.identity(3)):
         for h_rows in (Z_CIRCLE, ((1, 0, 0, 0),)):
             with pytest.raises(ValueError):
@@ -375,7 +384,7 @@ def subtorus_cases(draw):
         w, free_rows = torus_weight_matrix(params), Z_CIRCLE
     else:
         w, free_rows = torus_weight_matrix(draw(st.sampled_from(T2_FREE_PARAMS))), WZ_TORUS
-    move = IntMatrix.from_rows(random_unimodular_rows(rng, 4))
+    move = IntMatrix(random_unimodular_rows(rng, 4))
     w = w @ move
     kind = draw(st.sampled_from(("free", "random", "summand")))
     count = draw(st.integers(1, 3))
@@ -398,7 +407,7 @@ def test_stabilizers_match_reference_property(case):
     assert free or kind != "free"
     # Stabilizers live in a residual torus only when the rows span a direct
     # summand, i.e. complete to a basis.
-    if smith_normal_form(IntMatrix.from_rows(h_rows)).invariant_factors == (1,) * len(h_rows):
+    if smith_normal_form(IntMatrix(h_rows)).invariant_factors == (1,) * len(h_rows):
         assert_stabilizers_match_reference(w, h_rows)
 
 
@@ -819,9 +828,19 @@ W_SPLIT = torus_weight_matrix(split_t2_family(1, 0))
 
 
 def _character_matrix(x):
-    """A unimodular character matrix, free on WZ_TORUS for x = 1, that
-    IntMatrix(...) builds without reading its entries."""
+    """A unimodular character matrix, free on WZ_TORUS for x = 1, whose
+    entries IntMatrix(...) reads on construction."""
     return IntMatrix(((0, 0, -1, x), (1, 0, 1, 1), (0, 0, 1, 0), (0, 1, 1, 0)))
+
+
+def _unit_4x4(x):
+    return IntMatrix(((x, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
+def _plus_2(x):
+    """x + 2 for an integer x, anything else as it is: connected_sum_dim4
+    needs a count of at least 3, and the refusal must name the entry."""
+    return x + 2 if hasattr(type(x), "__index__") else x
 
 
 # Each entry point that reads integer entries, with x at one entry; x = 1
@@ -829,10 +848,25 @@ def _character_matrix(x):
 INTEGER_ENTRY_POINTS = {
     "normalize_weight": lambda x: normalize_weight((x, 2)),
     "WeightedOrbitSpace": lambda x: WeightedOrbitSpace(2, ((x, 0), (0, 1), (1, 0), (0, 1))),
-    "IntMatrix.from_rows": lambda x: IntMatrix.from_rows([[x, 2]]),
+    "IntMatrix": lambda x: IntMatrix([[x, 2]]),
+    "IntMatrix.identity": lambda x: IntMatrix.identity(x),
+    "IntMatrix.is_unimodular": lambda x: IntMatrix(((x, 0), (0, 1))).is_unimodular(),
+    "determinant": lambda x: determinant(IntMatrix(((x, 2), (3, 5)))),
+    "smith_normal_form": lambda x: smith_normal_form(IntMatrix(((x, 4), (6, 8)))),
+    "quotient_group": lambda x: quotient_group(IntMatrix(((x, 2),))),
+    "invert_unimodular": lambda x: invert_unimodular(IntMatrix(((x, 1), (0, 1)))),
+    "invert_unimodular_4x4": lambda x: invert_unimodular_4x4(_unit_4x4(x)),
+    "AbelianGroup": lambda x: AbelianGroup(x, (2,)),
+    "gcd_ext a": lambda x: gcd_ext(x, 2),
+    "gcd_ext c": lambda x: gcd_ext(2, x),
+    "pair_is_legal x": lambda x: pair_is_legal((x, 0), (0, 1)),
+    "pair_is_legal y": lambda x: pair_is_legal((1, 0), (0, x)),
+    "connected_sum_dim4": lambda x: connected_sum_dim4(_plus_2(x)),
     "unimodular_complete": lambda x: unimodular_complete([(x, 2)]),
     "hermite_normal_form": lambda x: hermite_normal_form([(x, 2)]),
+    "hermite_normal_form ncols": lambda x: hermite_normal_form([(2,)], x),
     "kernel_basis": lambda x: kernel_basis([(x, 2)], 2),
+    "kernel_basis ncols": lambda x: kernel_basis([(2,)], x),
     "subtorus_acts_freely": lambda x: subtorus_acts_freely(W_SPLIT, ((0, 0, x, 0), (0, 0, 0, 1))),
     "induced_orbit_space subtorus": lambda x: induced_orbit_space(
         W_SPLIT, ((0, 0, x, 0), (0, 0, 0, 1))
@@ -878,7 +912,46 @@ INTEGER_ENTRY_POINTS = {
     "circle_arc_isotropy_orders": lambda x: circle_arc_isotropy_orders(
         induced_orbit_space(W_SPLIT, WZ_TORUS, E2_COMPLEMENT), (x, 0)
     ),
+    "circle_quotient_orbifold_orders r": lambda x: circle_quotient_orbifold_orders(x, 0),
+    "circle_quotient_orbifold_orders s": lambda x: circle_quotient_orbifold_orders(0, x),
+    "primitive_weights": lambda x: primitive_weights(2, x),
+    "run_census": lambda x: run_census(2, x),
+    "census_ndjson": lambda x: census_ndjson((), 2, x),
 }
+
+# The callables of torusorbits.__all__ that take no integer directly: the
+# integer rule reaches them through the types they take, whose constructors
+# are roots of INTEGER_ENTRY_POINTS.  Every other public callable must be a
+# root there, so a public function that computes on unread integers fails
+# the completeness test below.
+NO_INTEGER_ARGUMENTS = {
+    # Take a WeightedOrbitSpace.
+    "are_equivalent", "canonical_form", "canonicalize", "classify_dim4", "classify_dim5",
+    "extract_dim5_params", "in_canonical_position", "is_legal", "pi1_bound",
+    "pi1_dim5_exact", "realize_dim4", "realize_dim5", "require_legal",
+    # Take a parameter object (CircleActionParams, T2ActionParams or Dim5Params).
+    "classify_t2_quotient", "dim5_orbit_space", "realization_payload", "torus_weight_matrix",
+    # Take census rows.
+    "census_csv",
+    # Take nothing.
+    "mixed_t2_family",
+    # Formats the entries it is given as text and computes nothing with them.
+    "format_weights",
+    # Result types, which the library builds from values it has read.
+    "CensusRow", "ExtensionOutcome", "ExtensionStatus", "IsotropyDiagram",
+    "LegalityReport", "ManifoldType", "SmithDecomposition", "T2Freeness",
+    # Exceptions, which take a message.
+    "IllegalOrbitSpaceError", "NotFreeError", "NotFreeSubtorusError", "NotRealizableError",
+    "ParseError", "RankMismatchError", "TorusOrbitsError", "UnsupportedRankError",
+}
+
+
+def test_every_public_callable_is_an_integer_entry_point_or_takes_no_integers():
+    public = {name for name in torusorbits.__all__ if callable(getattr(torusorbits, name))}
+    roots = {key.split()[0] for key in INTEGER_ENTRY_POINTS}
+    assert public - NO_INTEGER_ARGUMENTS - roots == set()
+    # Both lists name public callables only, and no name is in both.
+    assert NO_INTEGER_ARGUMENTS <= public and not NO_INTEGER_ARGUMENTS & roots
 
 
 @pytest.mark.parametrize("entry_point", INTEGER_ENTRY_POINTS)
@@ -892,6 +965,13 @@ def test_entry_points_refuse_non_integers(entry_point):
     for bad in (1.0, 1.9, "1"):
         with pytest.raises(ValueError, match=re.escape(f"entry {bad!r} is not an integer")):
             call(bad)
+
+
+def test_subtorus_rows_and_realizer_rank_are_checked():
+    with pytest.raises(ValueError, match="subtorus rows must have 4 entries"):
+        subtorus_acts_freely(W_SPLIT, ((0, 0, 1),))
+    with pytest.raises(UnsupportedRankError, match="rank 2 target in the dimension-5 realizer"):
+        realize_dim5(space(2, (1, 0), (0, 1), (1, 0), (1, 1)))
 
 
 def test_orbifold_orders():
@@ -942,7 +1022,7 @@ def brute_residual_stabilizer_order(w, h_rows, c_rows, support, modulus):
     grid = np.indices((modulus,) * 4).reshape(4, -1).T
     rows = np.array([w.entries[i] for i in sorted(support)], dtype=np.int64)
     kernel_pts = grid[((grid @ rows.T) % modulus == 0).all(axis=1)]
-    p = IntMatrix.from_rows(list(h_rows) + list(c_rows))
+    p = IntMatrix(list(h_rows) + list(c_rows))
     p_inv = invert_unimodular(p)
     h = len(h_rows)
     b_t = np.array(

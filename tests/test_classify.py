@@ -454,3 +454,11 @@ def test_classify_dim5_accepts_any_representative():
     t = dim5_space((1, 1, 1), (0, 0, 1))
     for _ in range(15):
         assert classify_dim5(random_symmetry_move(rng, t)) == S3XS2
+
+
+def test_dim5_reader_refuses_other_ranks_and_weight_counts():
+    with pytest.raises(UnsupportedRankError, match="rank 2, expected 3"):
+        extract_dim5_params(space(2, (1, 0), (0, 1), (1, 0), (0, 1)))
+    five = space(3, (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))
+    with pytest.raises(UnsupportedWeightCountError, match="5 weights, expected 4"):
+        extract_dim5_params(five)

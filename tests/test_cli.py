@@ -192,7 +192,7 @@ def test_equiv_same_and_different(tmp_path, capsys):
 def test_equiv_accepts_transformed_input(tmp_path, capsys):
     # same class presented in a different basis and rotation
     base = ((1, 0), (0, 1), (1, 0), (2, 1))
-    move = IntMatrix.from_rows([(2, 1), (1, 1)])
+    move = IntMatrix([(2, 1), (1, 1)])
     turned = tuple(move.apply(w) for w in base)
     turned = turned[2:] + turned[:2]
     a = write_space(tmp_path / "a.json", 2, base)
@@ -604,3 +604,26 @@ def test_module_run_prints_no_warning():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr == ""
+
+
+def test_usage_errors_the_parser_lets_through(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    code, out, err = invoke(capsys, "legal", str(listed))
+    assert code == EXIT_PARSE and not out and "must hold a JSON object" in err
+    code, out, err = invoke(capsys, "extend")
+    assert code == EXIT_PARSE and not out and "provide a circle-action file" in err
+    # Library callers of run can send what argparse refuses.
+    one = write_space(tmp_path / "one.json", 2, [(1, 0), (0, 1), (1, 0), (0, 1)])
+    with pytest.raises(ParseError, match="exactly two orbit-space files"):
+        run(Command("equiv", (one,), {}))
+    with pytest.raises(ParseError, match="census requires --rank and --bound"):
+        run(Command("census", (), {"rank": 2}))
+
+
+def test_realize_refuses_rank_4(capsys):
+    code, out, err = invoke(
+        capsys, "realize", "--rank", "4", "--weights", "(1,0,0,0),(0,1,0,0),(0,0,1,0),(0,0,0,1)"
+    )
+    assert code == EXIT_DOMAIN and not out
+    assert "realization implemented for ranks 2 and 3, not 4" in err

@@ -45,7 +45,7 @@ def laplace_det(rows):
 
 
 def random_matrix(rng, nrows, ncols, lo=-20, hi=20):
-    return IntMatrix.from_rows(
+    return IntMatrix(
         [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)]
     )
 
@@ -101,12 +101,12 @@ def test_gcd_ext_determinism_across_signs():
 
 def test_determinant_rejects_non_square():
     with pytest.raises(NonSquareMatrixError):
-        determinant(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+        determinant(IntMatrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_determinant_edge_sizes():
-    assert determinant(IntMatrix.from_rows([])) == 1
-    assert determinant(IntMatrix.from_rows([[7]])) == 7
+    assert determinant(IntMatrix([])) == 1
+    assert determinant(IntMatrix([[7]])) == 7
     assert determinant(IntMatrix.identity(5)) == 1
 
 
@@ -115,7 +115,7 @@ def test_determinant_of_weight_block():
     rng = random.Random(20240117)
     for _ in range(200):
         a, b, c, d, n, k, m, l = (rng.randint(-9, 9) for _ in range(8))
-        mat = IntMatrix.from_rows(
+        mat = IntMatrix(
             [[0, 1, 0, 0], [0, 0, 0, 1], [-n, k, m, l], [a, b, c, d]]
         )
         assert determinant(mat) == a * m + c * n
@@ -161,12 +161,12 @@ def check_snf(m):
 
 
 def test_smith_frozen_examples():
-    snf = smith_normal_form(IntMatrix.from_rows([[2, 4]]))
+    snf = smith_normal_form(IntMatrix([[2, 4]]))
     assert snf.diagonal == (2,)
     rng = random.Random(4242)
     for _ in range(100):
         p, q, r, x, y, z = (rng.randint(-9, 9) for _ in range(6))
-        m = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [p, q, r], [x, y, z]])
+        m = IntMatrix([[1, 0, 0], [0, 1, 0], [p, q, r], [x, y, z]])
         snf = check_snf(m)
         g = gcd(r, z)
         expected = (1, 1, g) if g != 0 else (1, 1)
@@ -174,7 +174,7 @@ def test_smith_frozen_examples():
 
 
 def test_smith_zero_and_identity():
-    snf = check_snf(IntMatrix.from_rows([[0, 0], [0, 0]]))
+    snf = check_snf(IntMatrix([[0, 0], [0, 0]]))
     assert snf.diagonal == (0, 0)
     snf = check_snf(IntMatrix.identity(4))
     assert snf.diagonal == (1, 1, 1, 1)
@@ -197,7 +197,7 @@ def test_smith_random_properties():
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_smith_properties_hypothesis(rows):
-    check_snf(IntMatrix.from_rows(rows))
+    check_snf(IntMatrix(rows))
 
 
 def test_smith_rank_matches_determinant():
@@ -255,10 +255,10 @@ def test_cyclic_group():
 
 
 def test_quotient_group():
-    assert quotient_group(IntMatrix.from_rows([[2, 0], [0, 3]])) == cyclic_group(6)
-    assert quotient_group(IntMatrix.from_rows([[1, 0], [0, 1]])).is_trivial
-    assert quotient_group(IntMatrix.from_rows([[2, 4]])) == AbelianGroup(1, (2,))
-    assert quotient_group(IntMatrix.from_rows([[0, 0]])) == AbelianGroup(2, ())
+    assert quotient_group(IntMatrix([[2, 0], [0, 3]])) == cyclic_group(6)
+    assert quotient_group(IntMatrix([[1, 0], [0, 1]])).is_trivial
+    assert quotient_group(IntMatrix([[2, 4]])) == AbelianGroup(1, (2,))
+    assert quotient_group(IntMatrix([[0, 0]])) == AbelianGroup(2, ())
 
 
 # --- Hermite normal form
@@ -330,11 +330,11 @@ def test_hermite_is_canonical():
 
 
 def test_invert_unimodular():
-    m = IntMatrix.from_rows([[2, 3], [1, 2]])
+    m = IntMatrix([[2, 3], [1, 2]])
     inv = invert_unimodular(m)
     assert inv.entries == ((2, -3), (-1, 2))
     with pytest.raises(ValueError):
-        invert_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+        invert_unimodular(IntMatrix([[2, 0], [0, 1]]))
 
 
 def test_invert_unimodular_random():
@@ -359,7 +359,7 @@ def random_unimodular(rng, n, ops=8):
     if rng.random() < 0.5:
         k = rng.randrange(n)
         m[k] = [-x for x in m[k]]
-    return IntMatrix.from_rows(m)
+    return IntMatrix(m)
 
 
 @st.composite
@@ -389,7 +389,7 @@ def unimodular_4x4_rows(draw):
 @settings(max_examples=400, deadline=None)
 @given(unimodular_4x4_rows(), st.integers(0, 3), st.integers(1, 3))
 def test_closed_form_4x4_inverse_matches_the_hermite_inverse(rows, r, shift):
-    m = IntMatrix.from_rows(rows)
+    m = IntMatrix(rows)
     assert invert_unimodular_4x4(m) == invert_unimodular(m)
     # Doubling a row doubles the determinant; copying one row onto another
     # makes it zero.  Neither has an integer inverse.
@@ -397,14 +397,14 @@ def test_closed_form_4x4_inverse_matches_the_hermite_inverse(rows, r, shift):
     copied = [rows[(r + shift) % 4] if k == r else row for k, row in enumerate(rows)]
     for bad in (doubled, copied):
         with pytest.raises(ValueError):
-            invert_unimodular_4x4(IntMatrix.from_rows(bad))
+            invert_unimodular_4x4(IntMatrix(bad))
 
 
 def test_closed_form_4x4_inverse_rejects_other_shapes():
     with pytest.raises(ValueError):
         invert_unimodular_4x4(IntMatrix.identity(3))
     with pytest.raises(ValueError):
-        invert_unimodular_4x4(IntMatrix.from_rows([[1, 0, 0, 0]] * 3))
+        invert_unimodular_4x4(IntMatrix([[1, 0, 0, 0]] * 3))
 
 
 # --- unimodular completion
@@ -509,14 +509,14 @@ def test_kernel_properties():
 
 
 def test_matrix_shapes_and_products():
-    m = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    m = IntMatrix([[1, 2], [3, 4], [5, 6]])
     assert (m.rows, m.cols) == (3, 2)
     assert m.transpose().entries == ((1, 3, 5), (2, 4, 6))
     assert m.apply((1, -1)) == (-1, -1, -1)
     i2 = IntMatrix.identity(2)
     assert (m @ i2).entries == m.entries
     assert not m.is_unimodular()
-    assert IntMatrix.from_rows([[2, 3], [1, 2]]).is_unimodular()
+    assert IntMatrix([[2, 3], [1, 2]]).is_unimodular()
 
 
 # Each input guard raises ValueError rather than asserting, so it holds
@@ -567,3 +567,35 @@ def test_integers_names_the_failing_entry_of_a_one_shot_iterator():
         lattice._integers(iter((1, 1.5)))
     with pytest.raises(ValueError, match=message):
         WeightedOrbitSpace(2, [(x for x in (1.5, 0)), (0, 1)])
+
+
+# --- the integer rule on construction
+
+
+# Float and string entries are refused by the rows of
+# test_biquotient.py::INTEGER_ENTRY_POINTS for IntMatrix and the functions
+# that take one.
+
+
+def test_numpy_entries_compute_exactly():
+    # numpy int64 entries become Python ints, so Bareiss elimination does not
+    # overflow: this determinant is 2**125, far outside int64.
+    big = np.int64(2**62)
+    det = determinant(IntMatrix(((big, big), (-big, big))))
+    assert det == 2**125 and type(det) is int
+
+
+def test_matrices_of_equal_entries_are_equal_and_hashable():
+    listed = IntMatrix([[1, 2], [3, 4]])
+    assert listed == IntMatrix(((1, 2), (3, 4)))
+    assert hash(listed) == hash(IntMatrix(((1, 2), (3, 4))))
+    assert listed.entries == ((1, 2), (3, 4))
+
+
+def test_inverse_and_completion_refuse_bad_shapes():
+    with pytest.raises(NonSquareMatrixError, match="matrix is 2x3"):
+        invert_unimodular(IntMatrix(((1, 0, 0), (0, 1, 0))))
+    with pytest.raises(ValueError, match="need at least one row"):
+        unimodular_complete([])
+    with pytest.raises(ValueError, match="3 rows cannot extend to a 2x2 basis"):
+        unimodular_complete([(1, 0), (0, 1), (1, 1)])

@@ -101,7 +101,7 @@ def test_pair_legality_matches_smith_route():
         y = [rng.randint(-6, 6) for _ in range(n)]
         if all(v == 0 for v in x) or all(v == 0 for v in y):
             continue
-        snf = smith_normal_form(IntMatrix.from_rows([x, y]))
+        snf = smith_normal_form(IntMatrix([x, y]))
         assert pair_is_legal(x, y) == (snf.invariant_factors == (1, 1))
 
 
@@ -160,7 +160,7 @@ def test_witness_not_necessary_at_rank3():
     from torusorbits.lattice import determinant
 
     dets = [
-        determinant(IntMatrix.from_rows([s.weights[i] for i in t])) for t in triples
+        determinant(IntMatrix([s.weights[i] for i in t])) for t in triples
     ]
     assert all(abs(d) > 1 for d in dets)
     assert pi1_bound(s).is_trivial

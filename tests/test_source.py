@@ -216,14 +216,14 @@ def test_package_api_is_pinned():
 # `from .module import _name`: a new private coupling is an edit here.
 PRIVATE_IMPORTS = {
     "biquotient.py": [
-        "lattice._IntegerFields", "lattice._integers",
+        "lattice._IntegerFields", "lattice._integers", "lattice._matrix",
         "orbit_space._cross", "orbit_space._normalized", "orbit_space._space",
     ],
     "census.py": [
         "lattice._integers", "orbit_space._space", "orbit_space._unzigzag", "orbit_space._zigzag",
     ],
-    "classify.py": ["lattice._IntegerFields"],
-    "orbit_space.py": ["lattice._integers"],
+    "classify.py": ["lattice._IntegerFields", "lattice._integers"],
+    "orbit_space.py": ["lattice._integers", "lattice._matrix"],
 }
 
 
