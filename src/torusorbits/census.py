@@ -205,18 +205,17 @@ def _frames(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per legal pair, the unimodular F with F @ x == e1 and F @ y == e2.
 
     The cross product c = x ^ y is primitive exactly when the pair is legal;
-    a Bezout vector z with c . z == 1 completes (x, y) to a basis, and is
-    first moved by the nearest lattice point of span(x, y) so that F stays
-    small.  The rows of the inverse of [x y z] are y ^ z, z ^ x and c.  The
-    vectorized twin of orbit_space._frame on the Bezout vector; moving z by
-    span(x, y) changes the frame by a residual shear only, so both give the
-    same keys.
+    a Bezout vector z with c . z == 1 completes (x, y) to a basis, and the
+    inverse of [x y z] has rows y ^ z, z ^ x and c: orbit_space._frame,
+    vectorized, except that z is first moved by the nearest lattice point
+    of span(x, y).  That changes F by a residual shear, which keeps every
+    key, and keeps based coordinates inside the packed-key limit at bound 4.
     """
     c = np.cross(x, y)
     g01, s01, t01 = _ext_gcd(c[:, 0], c[:, 1])
     g, s2, t2 = _ext_gcd(g01, c[:, 2])
     if np.any(g != 1):
-        raise ValueError("frame requested for a pair that is not legal")
+        raise VerificationError("frame requested for a pair that is not legal")
     z = np.stack([s2 * s01, s2 * t01, t2], axis=1)
     xx, xy, yy = (x * x).sum(1), (x * y).sum(1), (y * y).sum(1)
     zx, zy = (z * x).sum(1), (z * y).sum(1)
@@ -245,46 +244,40 @@ def _based(frames: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return based
 
 
-def _start_keys(
-    x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, x4: np.ndarray
-) -> np.ndarray:
-    """Key of each ordered cycle (x1, x2, x3, x4); x2 is an (N, 3) array and
-    the other weights are (N, 3) arrays or single weights."""
-    shape = x2.shape
-    frames = _frames(np.broadcast_to(x1, shape), x2)
-    return _candidate_min_keys(
-        _based(frames, np.broadcast_to(x3, shape)),
-        _based(frames, np.broadcast_to(x4, shape)),
-    )
+def _reversal_keys(b3: np.ndarray, b4: np.ndarray) -> np.ndarray:
+    """Keys of the reversals (x2, x1, x4, x3) of starts based as b3, b4: each
+    takes its start's frame with rows 0, 1 swapped, as in orbit_space._search."""
+    return _candidate_min_keys(b4[:, [1, 0, 2]], b3[:, [1, 0, 2]])
+
+
+def _pair_keys(cycles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys of the (N, 4, 3) cycles and their reversals, from one frame each."""
+    frames = _frames(cycles[:, 0], cycles[:, 1])
+    b3, b4 = _based(frames, cycles[:, 2]), _based(frames, cycles[:, 3])
+    return _candidate_min_keys(b3, b4), _reversal_keys(b3, b4)
 
 
 _BLOCK = 16_384
-
-
-# The seven dihedral starts of a cycle (x1, x2, x3, x4) other than itself,
-# as index orders: its other rotations, then the rotations of its reversal.
-_OTHER_STARTS = (
-    (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2), (0, 3, 2, 1), (3, 2, 1, 0), (2, 1, 0, 3), (1, 0, 3, 2)
-)
 
 
 def _class_keys(keys: np.ndarray) -> np.ndarray:
     """Minimum over the eight dihedral starts of each keyed sequence.
 
     Each key is decoded once into the cycle (e1, e2, y3, y4) it codes.  A
-    unimodular map keeps start keys, so the other seven are those of fixed
-    index orders of that one array.
+    unimodular map keeps start keys, so the eight are the starts at its four
+    adjacent pairs and their reversals.  The decoded start is framed already,
+    so only its reversal is keyed; _pair_keys frames each other pair once.
     """
     out = np.empty_like(keys)
     # Blocks keep the candidate kernel's temporaries in cache.
     for lo in range(0, len(keys), _BLOCK):
         block = keys[lo : lo + _BLOCK]
-        cycle = np.zeros((len(block), 4, 3), dtype=np.int64)
-        cycle[:, 0, 0] = cycle[:, 1, 1] = 1
-        cycle[:, 2], cycle[:, 3] = _unpack_keys(block)
-        best = block
-        for order in _OTHER_STARTS:
-            best = np.minimum(best, _start_keys(*(cycle[:, p] for p in order)))
+        cycles = np.zeros((len(block), 4, 3), dtype=np.int64)
+        cycles[:, 0, 0] = cycles[:, 1, 1] = 1
+        cycles[:, 2], cycles[:, 3] = _unpack_keys(block)
+        best = np.minimum(block, _reversal_keys(cycles[:, 2], cycles[:, 3]))
+        for a in (1, 2, 3):
+            best = np.minimum(best, np.minimum(*_pair_keys(np.roll(cycles, -a, axis=1))))
         out[lo : lo + _BLOCK] = best
     return out
 
@@ -302,6 +295,12 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
     of any of its cycles, and those are computed from each distinct key
     directly, so one ordered cycle per class is enough: only the cycles that
     _signed_permutation_types keeps are keyed.
+
+    A cycle is simply connected exactly when its four maximal minors are
+    coprime (_build_row).  The frame of (x1, x2), third row x1 ^ x2, sends
+    x3, x4 to (p, q, r), (x, y, z), so r = det(x1, x2, x3), z = det(x1, x2,
+    x4), and the other two minors +-(qz - ry), +-(pz - rx) lie in the ideal
+    (r, z): the four are coprime exactly when r and z are.
     """
     # The third based coordinates are the triple determinants
     # det(w_i, w_j, w_k) = cross[i, j] . w[k], so they bound the packed
@@ -340,15 +339,11 @@ def _rank3_classes(bound: int) -> list[tuple[Weight, ...]]:
                 f"entry bound {bound} gives based coordinates beyond the packed-key limit"
             )
         based_all = based_all.astype(np.int32)
-        dets_i = cross[i] @ w.T
         for based, j in zip(based_all, partners):
             # Reversal: x4 = l is not before x2 = j.
             kk, ll = np.nonzero(legal[j][:, None] & grid & (order >= j))
-            # Simply connected: the four triple determinants are coprime.
-            sc = np.gcd(
-                np.gcd((cross[j, kk] * w[ll]).sum(1), dets_i[kk, ll]),
-                np.gcd(dets_i[j, ll], dets_i[j, kk]),
-            ) == 1
+            # Simply connected: det(x1, x2, x3) and det(x1, x2, x4) are coprime.
+            sc = np.gcd(based[kk, 2], based[ll, 2]) == 1
             kk, ll = kk[sc], ll[sc]
             if len(kk) == 0:
                 continue

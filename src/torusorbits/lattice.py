@@ -20,11 +20,14 @@ Vector = tuple[int, ...]
 
 def _integers(entries: Iterable) -> Vector:
     """The entries as ints; ints and integer scalars such as numpy.int64
-    pass, and the first other entry raises ValueError."""
+    pass, and the first other entry, or a non-iterable, raises ValueError."""
     if not isinstance(entries, (tuple, list)):
         # Read other iterables once, so a one-shot iterator can be searched
         # again for the entry that failed.
-        entries = tuple(entries)
+        try:
+            entries = tuple(entries)
+        except TypeError:
+            raise ValueError(f"{entries!r} is not a sequence of integers") from None
     try:
         return tuple(map(index, entries))
     except TypeError:
@@ -512,7 +515,8 @@ def unimodular_complete(vectors: Sequence[Sequence[int]]) -> IntMatrix:
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...]:
-    """Hermite-canonical basis of {v in Z^ncols : m v == 0}, m the given rows.
+    """Hermite-canonical basis of {v in Z^ncols : m v == 0}, m the given
+    rows, each of ncols entries.
 
     An empty row list has kernel Z^ncols.  The kernel of an integer matrix is
     a saturated sublattice, so every basis row returned is a primitive vector.
@@ -522,12 +526,15 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[Vector, ...
     so they span exactly {v : m v == 0}, already in Hermite form.
     """
     ncols = ncols if type(ncols) is int else _integers((ncols,))[0]
+    rows = [_integers(row) for row in rows]
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"rows must all have {ncols} entries")
     nrows = len(rows)
     augmented = [
         [row[j] for row in rows] + [int(i == j) for i in range(ncols)]
         for j in range(ncols)
     ]
-    reduced = hermite_normal_form(augmented, nrows + ncols)
+    reduced = _hermite(augmented, nrows + ncols)
     return tuple(
         row[nrows:] for row in reduced if not any(row[:nrows])
     )

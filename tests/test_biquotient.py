@@ -967,6 +967,27 @@ def test_entry_points_refuse_non_integers(entry_point):
             call(bad)
 
 
+# Calls whose matrix has a row that is an integer, not a sequence.
+NON_SEQUENCE_ROWS = {
+    "IntMatrix": lambda: IntMatrix([1, 2]),
+    "hermite_normal_form": lambda: hermite_normal_form([1, 2]),
+    "unimodular_complete": lambda: unimodular_complete([1, 2]),
+    "subtorus_acts_freely": lambda: subtorus_acts_freely(IntMatrix.identity(4), [1]),
+    "induced_orbit_space": lambda: induced_orbit_space(IntMatrix.identity(4), [1]),
+    "project_slope_to_residual": lambda: project_slope_to_residual(
+        [1], [(1, 0, 0, 0)], (1, 0, 0, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_point", NON_SEQUENCE_ROWS)
+def test_rows_that_are_not_sequences_are_refused(entry_point):
+    # The integer rule reads a row by iterating it, so an integer row is a
+    # ValueError, as a float entry is, not a TypeError.
+    with pytest.raises(ValueError, match="1 is not a sequence of integers"):
+        NON_SEQUENCE_ROWS[entry_point]()
+
+
 def test_subtorus_rows_and_realizer_rank_are_checked():
     with pytest.raises(ValueError, match="subtorus rows must have 4 entries"):
         subtorus_acts_freely(W_SPLIT, ((0, 0, 1),))

@@ -14,7 +14,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 from math import gcd
 
@@ -349,18 +349,25 @@ def test_scalar_start_key_matches_the_packed_kernel(scale, seed):
     # A legal cycle (e1, e2, x3, x4) with entries up to scale, moved by a
     # random unimodular matrix: its based entries, frame for frame, are the
     # entries of x3 and x4 up to a shear fixing e1 and e2.  The cycle is
-    # drawn by rejection, so a seeded generator drives it.
+    # drawn by rejection, so a seeded generator drives it.  The packed
+    # kernel keys the start and its reversal from one frame.
     rng = random.Random(seed)
     cycle = _legal_positioned_cycle(rng, scale)
     move = random_unimodular_rows(rng, 3)
     seq = tuple(tuple(sum(m * e for m, e in zip(row, w)) for row in move) for w in cycle)
+    reversal = (seq[1], seq[0], seq[3], seq[2])
     scalar = _start_key(seq, 3)
     assert scalar == reference_start_key(seq, 3)
-    x1, x2, x3, x4 = (np.array(w, dtype=np.int64) for w in seq)
+    cycles = np.array([seq], dtype=np.int64)
     # The two frames share their third row and differ by a shear, so both
     # sides try the same candidate images up to sign: those of the moves
-    # with first sign +1, the sign the packed kernel fixes.
-    candidates = _residual_candidates(based_weights(seq), 3)
+    # with first sign +1, the sign the packed kernel fixes.  The reversal's
+    # based weights are the start's reversed, with entries 0 and 1 swapped.
+    based = based_weights(seq)
+    candidates = [
+        *_residual_candidates(based, 3),
+        *_residual_candidates([(b, a, t) for a, b, t in reversed(based)], 3),
+    ]
     largest = max(
         abs(e) for images, move in candidates if move[0][0] == 1 for w in images for e in w
     )
@@ -368,9 +375,44 @@ def test_scalar_start_key_matches_the_packed_kernel(scale, seed):
         # Past the limit only the packed side gives up; the scalar key above
         # still answered.
         with pytest.raises(PackedKeyLimitError):
-            census._start_keys(x1, x2[None, :], x3, x4)
+            census._pair_keys(cycles)
     else:
-        assert census._start_keys(x1, x2[None, :], x3, x4).tolist() == [_packed(scalar)]
+        keys = census._pair_keys(cycles)
+        assert [k.tolist() for k in keys] == [
+            [_packed(scalar)],
+            [_packed(_start_key(reversal, 3))],
+        ]
+
+
+def _minors(*weights):
+    """The four 3x3 minors of four weights, in combinations order."""
+    return [int(np.dot(np.cross(a, b), c)) for a, b, c in combinations(weights, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=12, max_size=12))
+def test_two_framed_determinants_decide_simple_connectivity(entries):
+    # The census's simply-connected mask: for a legal pair (x1, x2), the
+    # gcd of the four maximal minors of (x1, x2, x3, x4) is
+    # gcd(det(x1, x2, x3), det(x1, x2, x4)), for any x3 and x4.
+    x1, x2, x3, x4 = (tuple(entries[i : i + 3]) for i in range(0, 12, 3))
+    if not pair_is_legal(x1, x2):
+        return
+    minors = _minors(x1, x2, x3, x4)
+    assert gcd(*minors) == gcd(minors[0], minors[1])
+    # The census reads those two determinants off the frame's third row.
+    frames = census._frames(np.array([x1]), np.array([x2]))
+    assert census._based(frames, np.array([x3]))[0, 2] == minors[0]
+    assert census._based(frames, np.array([x4]))[0, 2] == minors[1]
+
+
+def test_class_keys_frame_three_pairs_per_block(monkeypatch):
+    # One frame per adjacent pair other than the decoded one keys both of
+    # that pair's starts, so a block is framed three times.
+    keys = np.array([_packed(_start_key(((1, 0, 0), (0, 1, 0), (1, 1, 2), (1, 1, 3)), 3))])
+    frames = count_calls(monkeypatch, census, "_frames")
+    census._class_keys(keys)
+    assert len(frames) == 3
 
 
 def test_out_of_domain_box_fails_before_the_determinant_table():

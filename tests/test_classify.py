@@ -181,6 +181,7 @@ def test_dim4_family_reads_the_two_canonical_forms():
 
 FAULT_IMPORTS = (
     "import torusorbits.biquotient as biquotient\n"
+    "import torusorbits.census as census\n"
     "import torusorbits.classify as classify\n"
     "import torusorbits.lattice as lattice\n"
     "from torusorbits.biquotient import classify_t2_quotient, realize_dim4, realize_dim5\n"
@@ -251,6 +252,14 @@ FAULTS = (
         "(*m.entries[:2], tuple(2 * e for e in m.entries[2]))))(complete(rows))",
         "canonicalize(WeightedOrbitSpace(3, ((0, 1, 1), (1, -1, 1), (1, 0, 0))))",
     ),
+    # The census frames a pair its legality mask passed, but the Bezout step
+    # finds its cross product's entries to have gcd 2.
+    (
+        "census",
+        "_ext_gcd",
+        "lambda a, b: (0 * a + 2, a, b)",
+        "_rank3_classes(1)",
+    ),
 )
 
 
@@ -259,7 +268,7 @@ FAULTS = (
     FAULTS,
     ids=[
         "classify-dim4", "realize-dim4", "extract-dim5", "extract-refusal", "t2-quotient",
-        "inverse-product", "canon-transform", "canon-tie-transform",
+        "inverse-product", "canon-transform", "canon-tie-transform", "census-frame",
     ],
 )
 def test_implementation_faults_raise_verification_error(monkeypatch, module, name, replacement, call):

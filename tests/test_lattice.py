@@ -473,6 +473,21 @@ def test_kernel_frozen_examples():
     assert kernel_basis(((0, 0),), 2) == ((1, 0), (0, 1))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(1, 2, 3)], "rows must all have 2 entries"),
+        ([(1,)], "rows must all have 2 entries"),
+        ([1, 2], "1 is not a sequence of integers"),
+    ],
+)
+def test_kernel_refuses_rows_of_the_wrong_shape(rows, message):
+    # Every row needs ncols entries: a longer one is not cut short, and a
+    # shorter one or a bare integer is a ValueError like a bad entry.
+    with pytest.raises(ValueError, match=message):
+        kernel_basis(rows, 2)
+
+
 def test_kernel_pair_rule():
     # For a primitive pair (a, c) the kernel of [a c] is spanned by (c, -a).
     rng = random.Random(77)
